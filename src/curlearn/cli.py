@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset_io import load_dataset, load_external_scores
+from .dataset_io import load_dataset, load_external_scores, read_score_file
 from .samplers import Strategy, make_plan, write_plan_jsonl
-from .scoring import ScoreTable, margins_from_matrix, score_histogram, write_histogram_csv
-from .trainer import (FEWSHOT_STREAM, TrainConfig, aggregate_runs, few_shot_select,
-                      resolve_score_table, run_training, write_aggregate_csv,
-                      write_aggregate_text, write_checkpoint_csv, write_report_json)
+from .scoring import score_histogram, score_table_from_probs, write_histogram_csv
+from .trainer import (FEWSHOT_STREAM, TrainConfig, aggregate_runs, featurize_splits,
+                      few_shot_select, resolve_score_table, run_training,
+                      write_aggregate_csv, write_aggregate_text, write_checkpoint_csv,
+                      write_report_json)
 
 CONFIG_SCHEMA = {
     "train.epochs": int,
@@ -419,9 +420,10 @@ def cmd_train(args) -> int:
     table = None
     if config.strategy.needs_scores or config.rescore:
         table = resolve_score_table(train_ds, config)
+    features = featurize_splits((train_ds, val_ds, test_ds), config)
     for seed in config.seeds:
         outcome = run_training(train_ds, val_ds, test_ds, config, seed=seed,
-                               score_table=table)
+                               score_table=table, features=features)
         _write_run_outputs(out_dir, "", outcome)
     write_manifest(out_dir / "manifest.json", args, settings,
                    [args.train, args.val, args.test, settings["scores.path"], args.config])
@@ -439,6 +441,7 @@ def cmd_fewshot(args) -> int:
     table = None
     if config.strategy.needs_scores or config.rescore:
         table = resolve_score_table(train_ds, config)
+    feats_val_test = featurize_splits((val_ds, test_ds), config)
     for seed in config.seeds:
         rng = np.random.default_rng((seed, FEWSHOT_STREAM))
         subset = few_shot_select(config.strategy, table, train_ds, k=k, rng=rng,
@@ -446,36 +449,12 @@ def cmd_fewshot(args) -> int:
                                  max_tokens=config.max_tokens)
         outcome = run_training(
             subset, val_ds, test_ds, config, seed=seed,
-            score_table=table.restrict(subset.ids) if table is not None else None)
+            score_table=table.restrict(subset.ids) if table is not None else None,
+            features=featurize_splits((subset,), config) + feats_val_test)
         _write_run_outputs(out_dir, "fewshot_", outcome)
     write_manifest(out_dir / "manifest.json", args, settings,
                    [args.train, args.val, args.test, settings["scores.path"], args.config])
     return 0
-
-
-def _read_scores_file(path):
-    """JSONL of {id, probs[, epoch]} -> (ScoreTable, epoch_tag)."""
-    ids, rows, tags = [], [], set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if "id" not in rec or "probs" not in rec:
-                raise ValueError(f"{path}: record at line {line_no} needs 'id' and 'probs'")
-            ids.append(int(rec["id"]))
-            rows.append([float(p) for p in rec["probs"]])
-            if "epoch" in rec:
-                tags.add(int(rec["epoch"]))
-    if not ids:
-        raise ValueError(f"{path}: empty scores file")
-    if len(tags) > 1:
-        raise ValueError(f"{path}: mixed epoch tags {sorted(tags)}")
-    matrix = np.asarray(rows, dtype=np.float64)
-    matrix = matrix / matrix.sum(axis=1, keepdims=True)
-    table = ScoreTable(ids=np.asarray(ids), scores=margins_from_matrix(matrix),
-                       distributions=matrix, source="external")
-    return table, (tags.pop() if tags else None)
 
 
 def cmd_analyze(args) -> int:
@@ -494,7 +473,8 @@ def cmd_analyze(args) -> int:
                                                int(rec["gold_label"]))
     reports = []
     for index, path in enumerate(args.scores_files):
-        table, tag = _read_scores_file(path)
+        ids, probs, tag = read_score_file(path, epoch_tags=True)
+        table = score_table_from_probs(probs, ids, source="external")
         tag = index if tag is None else tag
         if predictions is None:
             reports.append(score_histogram(table, bins=bins, epoch_tag=tag))
@@ -513,10 +493,9 @@ def cmd_analyze(args) -> int:
 
 
 def _compare_cell(payload):
-    train_ds, val_ds, test_ds, config, seed, table = payload
-    outcome = run_training(train_ds, val_ds, test_ds, config, seed=seed,
-                           score_table=table)
-    return outcome
+    train_ds, val_ds, test_ds, config, seed, table, features = payload
+    return run_training(train_ds, val_ds, test_ds, config, seed=seed,
+                        score_table=table, features=features)
 
 
 def cmd_compare(args) -> int:
@@ -531,6 +510,7 @@ def cmd_compare(args) -> int:
     table = None
     if any(s.needs_scores for s in strategies) or base_config.rescore:
         table = resolve_score_table(train_ds, base_config)
+    features = featurize_splits((train_ds, val_ds, test_ds), base_config)
 
     cells = []
     for strategy in strategies:
@@ -554,7 +534,7 @@ def cmd_compare(args) -> int:
                 pool.submit(_compare_cell,
                             (train_ds, val_ds, test_ds, config, seed,
                              table if config.strategy.needs_scores or config.rescore
-                             else None)): (strategy, seed)
+                             else None, features)): (strategy, seed)
                 for strategy, seed, config in cells}
             for future, (strategy, seed) in futures.items():
                 try:
@@ -566,7 +546,8 @@ def cmd_compare(args) -> int:
             try:
                 outcome = _compare_cell(
                     (train_ds, val_ds, test_ds, config, seed,
-                     table if config.strategy.needs_scores or config.rescore else None))
+                     table if config.strategy.needs_scores or config.rescore else None,
+                     features))
                 record(strategy, seed, outcome, None)
             except Exception as err:  # noqa: BLE001
                 record(strategy, seed, None, err)

@@ -274,16 +274,22 @@ def _largest_remainder(n: int, fractions) -> list[int]:
     return counts
 
 
-def load_external_scores(path, dataset: Dataset):
-    """Read a ``{id, probs}`` JSONL file and turn it into a ScoreTable.
+def read_score_file(path, class_count: int | None = None, known_ids=None,
+                    epoch_tags: bool = False):
+    """Read a ``{id, probs[, epoch]}`` JSONL score file and validate every record.
 
-    Every dataset id must appear exactly once; probability vectors are
-    renormalized over their own sum before scoring.
+    Returns ``(ids, probs, epoch)``: the ids in file order, the raw (N, C)
+    probability rows, and the file's epoch tag. Tags are read only with
+    ``epoch_tags``: they must then be integers, one value per file, and the
+    tag is None when no record has one; otherwise they are ignored and the
+    tag is None. Each row must hold ``class_count`` entries, or as many as
+    the first row when ``class_count`` is None; ``known_ids``, when given,
+    is the set of ids a record may carry. Any violation raises a
+    DatasetFormatError naming the file and line, including duplicate ids
+    and negative, non-finite or all-zero probability rows.
     """
-    from .scoring import score_table_from_probs
-
-    want = {int(i) for i in dataset.ids}
-    seen: dict[int, list[float]] = {}
+    ids, rows, lines, epochs = [], [], [], set()
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -293,25 +299,60 @@ def load_external_scores(path, dataset: Dataset):
             except json.JSONDecodeError as err:
                 raise DatasetFormatError(
                     f"{path}: malformed JSON at line {line_no}: {err.msg}") from None
-            if "id" not in rec or "probs" not in rec:
+            if not isinstance(rec, dict) or "id" not in rec or "probs" not in rec:
                 raise DatasetFormatError(
                     f"{path}: record at line {line_no} needs 'id' and 'probs'")
-            rid = int(rec["id"])
-            probs = [float(p) for p in rec["probs"]]
+            try:
+                rid = int(rec["id"])
+                if epoch_tags and "epoch" in rec:
+                    epochs.add(int(rec["epoch"]))
+                probs = [float(p) for p in rec["probs"]]
+            except (TypeError, ValueError):
+                raise DatasetFormatError(
+                    f"{path}: non-numeric id, epoch or probability at line {line_no}") from None
             if rid in seen:
                 raise DatasetFormatError(f"{path}: duplicate id {rid} at line {line_no}")
-            if rid not in want:
+            if known_ids is not None and rid not in known_ids:
                 raise DatasetFormatError(f"{path}: unknown id {rid} at line {line_no}")
-            if len(probs) != dataset.class_count:
+            if class_count is None:
+                class_count = len(probs)
+            if len(probs) != class_count:
                 raise DatasetFormatError(
-                    f"{path}: probs length {len(probs)} != class_count "
-                    f"{dataset.class_count} for id {rid}")
-            if any(p < 0 for p in probs):
-                raise DatasetFormatError(f"{path}: negative probability for id {rid}")
-            seen[rid] = probs
-    missing = sorted(want - seen.keys())
-    if missing:
+                    f"{path}: probs length {len(probs)} != class_count {class_count} "
+                    f"for id {rid} at line {line_no}")
+            seen.add(rid)
+            ids.append(rid)
+            rows.append(probs)
+            lines.append(line_no)
+    if not ids:
+        raise DatasetFormatError(f"{path}: empty score file")
+    if len(epochs) > 1:
+        raise DatasetFormatError(f"{path}: mixed epoch tags {sorted(epochs)}")
+    matrix = np.array(rows, dtype=np.float64)
+    for bad, what in ((~np.isfinite(matrix).all(axis=1), "non-finite probability"),
+                      ((matrix < 0).any(axis=1), "negative probability"),
+                      (matrix.sum(axis=1) <= 0, "all-zero probability vector")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DatasetFormatError(f"{path}: {what} for id {ids[k]} at line {lines[k]}")
+    return np.array(ids, dtype=np.int64), matrix, (epochs.pop() if epochs else None)
+
+
+def load_external_scores(path, dataset: Dataset):
+    """Read a ``{id, probs}`` JSONL file and turn it into a ScoreTable.
+
+    Every dataset id must appear exactly once; probability vectors are
+    renormalized over their own sum before scoring. The checks are those
+    of ``read_score_file``.
+    """
+    from .scoring import score_table_from_probs
+
+    want = set(dataset.ids.tolist())
+    ids, probs, _ = read_score_file(path, dataset.class_count, known_ids=want)
+    if len(ids) != len(want):
+        missing = sorted(want - set(ids.tolist()))
         raise DatasetFormatError(f"{path}: missing id {missing[0]} "
                                  f"({len(missing)} ids absent in total)")
-    matrix = np.array([seen[int(i)] for i in dataset.ids], dtype=np.float64)
-    return score_table_from_probs(matrix, ids=dataset.ids, source="external")
+    by_id = np.argsort(ids)
+    rows = by_id[np.searchsorted(ids, dataset.ids, sorter=by_id)]
+    return score_table_from_probs(probs[rows], ids=dataset.ids, source="external")

@@ -103,13 +103,13 @@ class ScoreTable:
 
 
 def score_table_from_probs(matrix: np.ndarray, ids, source: str) -> ScoreTable:
-    """Renormalize raw per-example probability rows and score them."""
+    """Renormalize raw per-example probability rows and score them.
+
+    Every row must be finite, non-negative and have a positive sum, as
+    ``dataset_io.read_score_file`` checks for the score files it reads.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
-    sums = matrix.sum(axis=1)
-    if np.any(sums <= 0):
-        bad = int(np.asarray(ids)[int(np.argmax(sums <= 0))])
-        raise ValueError(f"all-zero probability vector for id {bad}")
-    matrix = matrix / sums[:, None]
+    matrix = matrix / matrix.sum(axis=1, keepdims=True)
     return ScoreTable(ids=np.asarray(ids, dtype=np.int64),
                       scores=margins_from_matrix(matrix),
                       distributions=matrix, source=source)
@@ -200,9 +200,14 @@ def score_histogram(table: ScoreTable, predictions=None, labels=None,
                     bins: int = 20, epoch_tag: int = 0) -> HistogramReport:
     """Equal-width histogram of scores over [0, 1]; a score of exactly 1.0
     belongs to the last bin. With predictions and gold labels the per-bin
-    counts are split by correctness."""
+    counts are split by correctness. Scores must be finite and in [0, 1]."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    outside = ~((table.scores >= 0) & (table.scores <= 1))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"score {table.scores[k]!r} of id {int(table.ids[k])} "
+                         "is not a finite value in [0, 1]")
     n = len(table)
     idx = np.minimum((table.scores * bins).astype(np.int64), bins - 1)
     idx = np.maximum(idx, 0)

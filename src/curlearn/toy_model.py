@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,6 +148,14 @@ class OptimizerState:
 
     The effective rate for the update at step count t (0-based, pre-update)
     is base_lr * max(0, 1 - t/total_steps); t increments once per update.
+
+    ``live_cols`` is the sorted set of weight columns AdamW updates. Every
+    column outside it is zero in the weights and in both moments, and an
+    AdamW step leaves such a column at zero, so skipping it changes no bit.
+    The set is seeded at the first AdamW step from the columns that are
+    non-zero (or NaN) in any of the three, and grows by each step's
+    gradient columns until it holds more than ``DENSE_LIVE_SHARE`` of them;
+    from then on every step updates all columns and the set is not read.
     """
 
     kind: str = "adamw"
@@ -162,6 +170,7 @@ class OptimizerState:
     v_w: np.ndarray | None = None
     m_b: np.ndarray | None = None
     v_b: np.ndarray | None = None
+    live_cols: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adamw"):
@@ -189,8 +198,43 @@ class OptimizerState:
         return self.base_lr * max(0.0, 1.0 - t / self.total_steps)
 
 
+# Past this share of live columns, gathering and scattering them costs about
+# as much as sweeping every column in place. Measured per step at dim 2**16
+# with 2 and 4 classes, the live path takes 0.15-0.3x the sweep's time at 1%
+# live, 0.8-1.0x at 20%, 1.0-1.2x at 30% and 5x at 100%.
+DENSE_LIVE_SHARE = 0.2
+
+
+def _live_columns(model: LinearModel, grads: SparseGrads, state: OptimizerState):
+    """The sorted columns this AdamW step must update, or None for all of them."""
+    live = state.live_cols
+    if live is None:
+        # -0.0 counts as live: the dense update turns a -0.0 weight into +0.0
+        live = np.flatnonzero(np.any(
+            (model.weights != 0) | np.signbit(model.weights)
+            | (state.m_w != 0) | (state.v_w != 0), axis=0))
+    if live.size > DENSE_LIVE_SHARE * model.dim:
+        state.live_cols = live
+        return None
+    at = np.searchsorted(live, grads.cols)
+    missing = at == live.size
+    missing[~missing] = live[at[~missing]] != grads.cols[~missing]
+    if missing.any():
+        live = np.insert(live, at[missing], grads.cols[missing])
+    state.live_cols = live
+    return live
+
+
 def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState):
-    """Apply one update in place; returns (model, state) for convenience."""
+    """Apply one update in place; returns (model, state) for convenience.
+
+    AdamW touches only ``state.live_cols`` while that set is small: the
+    columns outside it are zero in the weights and both moments, where the
+    dense update would leave them zero. Both ways apply the same operations
+    to every updated element, so they give the same bits. Set parameters
+    directly only before the state's first AdamW step; a column set later
+    is not updated until a gradient touches it.
+    """
     if not (np.all(np.isfinite(grads.weight_vals)) and np.all(np.isfinite(grads.bias))):
         raise FloatingPointError("non-finite gradient; aborting the run")
     lr = state.effective_lr()
@@ -200,24 +244,36 @@ def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState
             model.bias -= lr * grads.bias
     else:
         b1, b2 = state.beta1, state.beta2
-        state.m_w *= b1
-        state.m_w[:, grads.cols] += (1 - b1) * grads.weight_vals
-        state.v_w *= b2
-        state.v_w[:, grads.cols] += (1 - b2) * grads.weight_vals ** 2
+        live = _live_columns(model, grads, state)
+        if live is None:
+            m_w, v_w, weights, pos = state.m_w, state.v_w, model.weights, grads.cols
+        else:
+            m_w, v_w, weights = (np.take(a, live, axis=1)
+                                 for a in (state.m_w, state.v_w, model.weights))
+            pos = np.searchsorted(live, grads.cols)
+        m_w *= b1
+        m_w[:, pos] += (1 - b1) * grads.weight_vals
+        v_w *= b2
+        v_w[:, pos] += (1 - b2) * grads.weight_vals ** 2
         state.m_b = b1 * state.m_b + (1 - b1) * grads.bias
         state.v_b = b2 * state.v_b + (1 - b2) * grads.bias ** 2
         step_num = state.t + 1
         bc1 = 1 - b1 ** step_num
         bc2 = 1 - b2 ** step_num
         if lr != 0.0:
-            denom = np.sqrt(state.v_w / bc2) + state.epsilon
-            model.weights -= lr * ((state.m_w / bc1) / denom)
+            denom = np.sqrt(v_w / bc2) + state.epsilon
+            weights -= lr * ((m_w / bc1) / denom)
             if state.weight_decay:
-                model.weights -= lr * state.weight_decay * model.weights
+                weights -= lr * state.weight_decay * weights
             denom_b = np.sqrt(state.v_b / bc2) + state.epsilon
             model.bias -= lr * ((state.m_b / bc1) / denom_b)
             if state.weight_decay:
                 model.bias -= lr * state.weight_decay * model.bias
+        if live is not None:
+            # row by row: numpy scatters a 1-D row about twice as fast as a 2-D block
+            for full, part in ((state.m_w, m_w), (state.v_w, v_w), (model.weights, weights)):
+                for row in range(len(full)):
+                    full[row, live] = part[row]
     state.t += 1
     if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
         raise FloatingPointError("non-finite parameters after update; aborting the run")
@@ -233,6 +289,8 @@ class FeatureMatrix:
     flat_values: np.ndarray
     row_ids: np.ndarray
     n_rows: int
+    dim: int
+    max_tokens: int | None
 
     @classmethod
     def build(cls, dataset: Dataset, dim: int, max_tokens: int | None = None):
@@ -246,7 +304,7 @@ class FeatureMatrix:
             flat_val = np.concatenate([v.values for v in vectors if len(v)])
         row_ids = np.repeat(np.arange(len(vectors)), nnz)
         return cls(vectors=vectors, flat_indices=flat_idx, flat_values=flat_val,
-                   row_ids=row_ids, n_rows=len(vectors))
+                   row_ids=row_ids, n_rows=len(vectors), dim=dim, max_tokens=max_tokens)
 
     def logits(self, model: LinearModel) -> np.ndarray:
         out = np.empty((self.n_rows, model.class_count), dtype=np.float64)

@@ -263,13 +263,23 @@ def resolve_score_table(train_ds: Dataset, config: TrainConfig) -> ScoreTable:
     return score_dataset(provider, train_ds, source="probe_model")
 
 
+def featurize_splits(splits, config: TrainConfig) -> tuple[FeatureMatrix, ...]:
+    """One FeatureMatrix per dataset, hashed with the config's dim and max_tokens."""
+    return tuple(FeatureMatrix.build(ds, config.dim, config.max_tokens) for ds in splits)
+
+
 def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
                  config: TrainConfig, seed: int | None = None,
-                 score_table: ScoreTable | None = None) -> TrainOutcome:
+                 score_table: ScoreTable | None = None,
+                 features: tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix] | None = None,
+                 ) -> TrainOutcome:
     """One seeded run; returns the report plus the models behind it.
 
     ``score_table`` short-circuits scoring so a grid of runs can share one
-    table, mirroring the score-once-then-train protocol.
+    table, mirroring the score-once-then-train protocol. ``features``, the
+    (train, val, test) matrices built by ``FeatureMatrix.build`` with this
+    config's ``dim`` and ``max_tokens``, does the same for featurization:
+    hashing is seedless, so a grid can build them once and share them.
     """
     seed = config.seeds[0] if seed is None else int(seed)
     strategy = config.strategy
@@ -281,8 +291,14 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
 
     N = len(train_ds)
     model = LinearModel.zeros(train_ds.class_count, config.dim)
-    feats_train = FeatureMatrix.build(train_ds, config.dim, config.max_tokens)
-    feats_val = FeatureMatrix.build(val_ds, config.dim, config.max_tokens)
+    splits = (train_ds, val_ds, test_ds)
+    if features is None:
+        features = featurize_splits(splits, config)
+    elif [(f.n_rows, f.dim, f.max_tokens) for f in features] != [
+            (len(ds), config.dim, config.max_tokens) for ds in splits]:
+        raise ValueError("features do not match the train/val/test split sizes "
+                         "or the config's dim and max_tokens")
+    feats_train, feats_val, feats_test = features
     steps_per_epoch = math.ceil(N / config.batch_size)
     state = OptimizerState.for_model(
         model, kind=config.optimizer, base_lr=config.resolved_lr(),
@@ -331,24 +347,22 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         if config.rescore:
             snapshots.append(model.copy())
 
-    test_metrics, test_loss = evaluate(best_model, test_ds,
-                                       max_tokens=config.max_tokens)
+    test_metrics, test_loss = evaluate(best_model, test_ds, feats_test)
     histograms = None
     if config.rescore:
         if config.rescore_split == "train":
-            rescore_ds, initial = train_ds, score_table
+            rescore_ds, rescore_feats, initial = train_ds, feats_train, score_table
         else:
             # validation rescoring needs a provider; an external file only
             # covers the training split
             if config.scores_path:
                 raise ValueError("rescore_split='validation' requires the probe "
                                  "provider, not an external score file")
-            rescore_ds = val_ds
+            rescore_ds, rescore_feats = val_ds, feats_val
             initial = score_dataset(_probe_provider(train_ds, config), val_ds,
                                     source="probe_model")
         histograms = rescore_analysis(snapshots, rescore_ds, initial_table=initial,
-                                      bins=config.histogram_bins,
-                                      max_tokens=config.max_tokens)
+                                      bins=config.histogram_bins, feats=rescore_feats)
     report = RunReport(
         strategy=strategy.value, seed=seed, epochs=config.epochs,
         batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
@@ -364,11 +378,13 @@ def train(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
 
 
 def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | None = None,
-                     bins: int = 20, max_tokens: int | None = None) -> list[HistogramReport]:
+                     bins: int = 20, max_tokens: int | None = None,
+                     feats: FeatureMatrix | None = None) -> list[HistogramReport]:
     """Score histograms per training epoch, split by prediction correctness.
 
     Epoch 0 comes from ``initial_table`` (the pre-training provider's scores)
-    when given; snapshot k produces the epoch-(k+1) report.
+    when given; snapshot k produces the epoch-(k+1) report. ``feats`` is the
+    dataset's prebuilt FeatureMatrix; it is built on first use when omitted.
     """
     if not snapshots and initial_table is None:
         raise ValueError("no snapshots or initial table to analyze")
@@ -378,7 +394,6 @@ def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | No
         sub = initial_table.restrict(dataset.ids)
         preds = np.argmax(sub.distributions, axis=1)
         reports.append(score_histogram(sub, preds, labels, bins=bins, epoch_tag=0))
-    feats = None
     for k, model in enumerate(snapshots):
         if feats is None:
             feats = FeatureMatrix.build(dataset, model.dim, max_tokens)

@@ -196,6 +196,20 @@ def test_analyze_two_epoch_tagged_files(tmp_path):
     assert tags == ["0"] * 4 + ["1"] * 4
 
 
+@pytest.mark.parametrize("tags, message", [
+    ([0, "final"], "non-numeric id, epoch or probability at line 2"),
+    ([0, 1], "mixed epoch tags [0, 1]"),
+])
+def test_analyze_rejects_bad_epoch_tags(tmp_path, capsys, tags, message):
+    scores = tmp_path / "s.jsonl"
+    with open(scores, "w") as fh:
+        for i, tag in enumerate(tags):
+            fh.write(json.dumps({"id": i, "probs": [0.5, 0.5], "epoch": tag}) + "\n")
+    rc = main(["analyze", str(scores), "--bins", "4", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_predictions_split_and_mismatch(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     write_scores(scores, 6)
@@ -228,6 +242,22 @@ def test_analyze_single_bin_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(scores), "--bins", "1", "--out", str(tmp_path / "h.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("records, message", [
+    ([(0, [0.6, 0.4]), (1, [0.3, 0.7]), (1, [0.9, 0.1])], "duplicate id 1 at line 3"),
+    ([(0, [0.6, 0.4]), (1, [-1.0, 0.8])], "negative probability for id 1 at line 2"),
+    ([(0, [0.6, 0.4]), (1, [0.0, 0.0])], "all-zero probability vector for id 1 at line 2"),
+])
+def test_analyze_rejects_invalid_score_rows(tmp_path, capsys, records, message):
+    scores = tmp_path / "s.jsonl"
+    with open(scores, "w") as fh:
+        for i, probs in records:
+            fh.write(json.dumps({"id": i, "probs": probs}) + "\n")
+    rc = main(["analyze", str(scores), "--bins", "4", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(scores) in err and message in err
 
 
 # ------------------------------------------------------------------ compare
@@ -264,6 +294,24 @@ def test_compare_parallel_jobs_matches_serial(tmp_path, splits):
     assert (serial / "aggregate.csv").read_text() == (parallel / "aggregate.csv").read_text()
     assert (serial / "report_Random_seed66.json").read_text() == \
         (parallel / "report_Random_seed66.json").read_text()
+
+
+def test_compare_featurizes_each_split_once(tmp_path, splits, monkeypatch):
+    from curlearn.toy_model import FeatureMatrix
+    builds = []
+    build = FeatureMatrix.build.__func__
+
+    def counting_build(cls, dataset, *args, **kwargs):
+        builds.append(dataset.split_tag)
+        return build(cls, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(FeatureMatrix, "build", classmethod(counting_build))
+    rc = main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",
+               "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    # the probe's training slice, then train/validation/test once for all 4 cells
+    assert sorted(builds) == ["test", "train", "train", "validation"]
 
 
 # ------------------------------------------------------------- configuration

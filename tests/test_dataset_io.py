@@ -291,3 +291,24 @@ def test_external_scores_negative_probability(tmp_path, tiny_dataset):
     write_jsonl(path, [{"id": i, "probs": [1.2, -0.2]} for i in range(5)])
     with pytest.raises(DatasetFormatError, match="negative"):
         load_external_scores(path, tiny_dataset)
+
+
+def test_external_scores_ignore_epoch_tags(tmp_path, tiny_dataset):
+    path = tmp_path / "s.jsonl"
+    write_jsonl(path, [{"id": i, "probs": [0.5, 0.5], "epoch": tag}
+                       for i, tag in enumerate(["final", 0, 1, None, 2.5])])
+    table = load_external_scores(path, tiny_dataset)
+    assert len(table) == 5
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_external_scores_non_finite_probability(tmp_path, tiny_dataset, bad):
+    path = tmp_path / "s.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"id": 0, "probs": [0.5, 0.5]}\n')
+        fh.write(f'{{"id": 1, "probs": [{bad}, 0.5]}}\n')
+        for i in range(2, 5):
+            fh.write(f'{{"id": {i}, "probs": [0.5, 0.5]}}\n')
+    with pytest.raises(DatasetFormatError,
+                       match=rf"{path.name}: non-finite probability for id 1 at line 2"):
+        load_external_scores(path, tiny_dataset)

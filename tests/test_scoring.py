@@ -203,6 +203,14 @@ def test_histogram_matches_brute_force_binning():
     assert int(rep.total_counts.sum()) == 500
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 9.0])
+def test_histogram_rejects_scores_outside_unit_interval(bad):
+    table = ScoreTable(ids=[0, 1, 2], scores=[0.2, bad, 1.0],
+                       distributions=np.full((3, 2), 0.5))
+    with pytest.raises(ValueError, match="id 1 is not a finite value in"):
+        score_histogram(table, bins=4)
+
+
 def test_histogram_rejects_misaligned_predictions():
     _, table = dataset_from_scores([0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="misaligned"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curlearn import toy_model
 from curlearn.dataset_io import Dataset, Example
 from curlearn.scoring import score_dataset
 from curlearn.toy_model import (FeatureVector, LinearModel, OptimizerState,
@@ -263,6 +264,91 @@ def test_non_finite_gradient_aborts():
     grads.weight_vals[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         optimizer_step(model, grads, state)
+
+
+def _dense_adamw_step(model, grads, state):
+    """Reference AdamW over every column; optimizer_step must match it bit for bit."""
+    if not (np.all(np.isfinite(grads.weight_vals)) and np.all(np.isfinite(grads.bias))):
+        raise FloatingPointError("non-finite gradient; aborting the run")
+    lr = state.effective_lr()
+    b1, b2 = state.beta1, state.beta2
+    state.m_w *= b1
+    state.m_w[:, grads.cols] += (1 - b1) * grads.weight_vals
+    state.v_w *= b2
+    state.v_w[:, grads.cols] += (1 - b2) * grads.weight_vals ** 2
+    state.m_b = b1 * state.m_b + (1 - b1) * grads.bias
+    state.v_b = b2 * state.v_b + (1 - b2) * grads.bias ** 2
+    step_num = state.t + 1
+    bc1 = 1 - b1 ** step_num
+    bc2 = 1 - b2 ** step_num
+    if lr != 0.0:
+        denom = np.sqrt(state.v_w / bc2) + state.epsilon
+        model.weights -= lr * ((state.m_w / bc1) / denom)
+        if state.weight_decay:
+            model.weights -= lr * state.weight_decay * model.weights
+        denom_b = np.sqrt(state.v_b / bc2) + state.epsilon
+        model.bias -= lr * ((state.m_b / bc1) / denom_b)
+        if state.weight_decay:
+            model.bias -= lr * state.weight_decay * model.bias
+    state.t += 1
+    if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
+        raise FloatingPointError("non-finite parameters after update; aborting the run")
+
+
+def _random_sparse_grads(rng, class_count, pool):
+    """Gradient on a few columns of [0, pool), skewed so some are rarely touched."""
+    from curlearn.toy_model import SparseGrads
+    weights = 1.0 / np.arange(1, pool + 1)
+    cols = np.unique(rng.choice(pool, size=int(rng.integers(0, 12)), p=weights / weights.sum()))
+    return SparseGrads(cols=cols, weight_vals=rng.normal(size=(class_count, len(cols))),
+                       bias=rng.normal(size=class_count))
+
+
+@pytest.mark.parametrize("dense_share", [1.0, toy_model.DENSE_LIVE_SHARE],
+                         ids=["live_only", "switching"])
+@pytest.mark.parametrize("case", ["preset_weight", "negative_zero", "lr_zero",
+                                  "checkpoint_roundtrip", "nan_untouched"])
+def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, tmp_path, monkeypatch):
+    # live_only never switches to the in-place sweep; switching crosses the
+    # default share mid-run, so both update paths and the switch are checked
+    monkeypatch.setattr(toy_model, "DENSE_LIVE_SHARE", dense_share)
+    rng = np.random.default_rng(11)
+    C, D, pool, steps = 3, 512, 300, 220
+    untouched = 400  # outside the gradient pool
+    total = 100 if case == "lr_zero" else steps  # lr is 0 from step 100 on
+    ref, model = LinearModel.zeros(C, D), LinearModel.zeros(C, D)
+    if case == "preset_weight":
+        ref.weights[1, untouched] = model.weights[1, untouched] = 0.7
+    if case == "negative_zero":
+        ref.weights[1, untouched] = model.weights[1, untouched] = -0.0
+    ref_state = OptimizerState.for_model(ref, base_lr=0.05, total_steps=total)
+    state = OptimizerState.for_model(model, base_lr=0.05, total_steps=total)
+    live_sizes = []
+    for step in range(steps):
+        grads = _random_sparse_grads(rng, C, pool)
+        if case == "nan_untouched" and step == 50:
+            assert untouched not in state.live_cols
+            ref.weights[2, untouched] = model.weights[2, untouched] = np.nan
+            with pytest.raises(FloatingPointError):
+                _dense_adamw_step(ref, grads, ref_state)
+            with pytest.raises(FloatingPointError):
+                optimizer_step(model, grads, state)
+            return
+        _dense_adamw_step(ref, grads, ref_state)
+        optimizer_step(model, grads, state)
+        live_sizes.append(len(state.live_cols))
+        if case == "checkpoint_roundtrip" and step == steps // 2:
+            save_model(tmp_path / "mid.npz", model, state)
+            model, state = load_model(tmp_path / "mid.npz")
+    if dense_share < 1.0:
+        assert live_sizes[10] <= dense_share * D < live_sizes[-1]
+    assert live_sizes[-1] < D
+    for want, got in ((ref.weights, model.weights), (ref.bias, model.bias),
+                      (ref_state.m_w, state.m_w), (ref_state.v_w, state.v_w),
+                      (ref_state.m_b, state.m_b), (ref_state.v_b, state.v_b)):
+        assert np.array_equal(want, got)
+    assert np.array_equal(np.signbit(ref.weights), np.signbit(model.weights))
+    assert ref_state.t == state.t == steps
 
 
 # ------------------------------------------------------------------ predict

@@ -132,6 +132,29 @@ def test_train_is_bit_deterministic():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
+@pytest.mark.parametrize("rescore_split", ["train", "validation"])
+def test_prebuilt_features_give_the_same_report(rescore_split):
+    splits = small_splits()
+    cfg = TrainConfig(epochs=2, strategy="PMD", dim=DIM, rescore=True,
+                      rescore_split=rescore_split)
+    features = trainer_mod.featurize_splits(splits, cfg)
+    fresh = run_training(*splits, cfg, seed=88).report.to_dict()
+    shared = run_training(*splits, cfg, seed=88, features=features).report.to_dict()
+    assert shared == fresh
+    with pytest.raises(ValueError, match="split sizes"):
+        run_training(*splits, cfg, seed=88, features=features[::-1])
+
+
+@pytest.mark.parametrize("change", [{"dim": DIM // 2}, {"dim": DIM * 2}, {"max_tokens": 3}])
+def test_prebuilt_features_must_match_the_config(change):
+    splits = small_splits()
+    cfg = TrainConfig(epochs=1, strategy="Random", dim=DIM)
+    other = TrainConfig(epochs=1, strategy="Random", **{"dim": DIM, **change})
+    with pytest.raises(ValueError, match="dim and max_tokens"):
+        run_training(*splits, cfg, seed=88,
+                     features=trainer_mod.featurize_splits(splits, other))
+
+
 def test_epoch_plans_consume_each_example_exactly_once(monkeypatch):
     consumed = []
     real_make_plan = trainer_mod.make_plan
