@@ -8,34 +8,14 @@ and evaluation protocol around them.
 
 __version__ = "0.1.0"
 
-from .dataset_io import (Dataset, DatasetFormatError, Example, TokenLengthIndex,
-                         load_dataset, load_external_scores, save_dataset,
-                         stratified_split, token_lengths, tokenize)
-from .samplers import (EpochPlan, RankWeights, Strategy, baseline_plan, make_plan,
-                       partitioned_plan, probability_plan, rank_weights,
-                       sequential_plan, weighted_permutation)
-from .scoring import (ClassDistribution, HistogramReport, RankedList, ScoreTable,
-                      difficulty_score, normalize_restricted, rank_examples,
-                      score_dataset, score_histogram)
-from .toy_model import (FeatureVector, LinearModel, OptimizerState, build_probe_scorer,
-                        featurize, forward, load_model, loss_and_grad, optimizer_step,
-                        predict, save_model, softmax)
-from .trainer import (Metrics, RunReport, TrainConfig, aggregate_runs, checkpoint_steps,
-                      evaluate, few_shot_select, rescore_analysis, run_training, train)
+from .dataset_io import token_lengths
+from .samplers import Strategy, make_plan, rank_weights
+from .scoring import (ClassDistribution, difficulty_score, normalize_restricted,
+                      rank_examples, score_dataset, score_histogram)
+from .trainer import few_shot_select
 
 __all__ = [
-    "Dataset", "DatasetFormatError", "Example", "TokenLengthIndex",
-    "load_dataset", "load_external_scores", "save_dataset", "stratified_split",
-    "token_lengths", "tokenize",
-    "EpochPlan", "RankWeights", "Strategy", "baseline_plan", "make_plan",
-    "partitioned_plan", "probability_plan", "rank_weights", "sequential_plan",
-    "weighted_permutation",
-    "ClassDistribution", "HistogramReport", "RankedList", "ScoreTable",
-    "difficulty_score", "normalize_restricted", "rank_examples", "score_dataset",
-    "score_histogram",
-    "FeatureVector", "LinearModel", "OptimizerState", "build_probe_scorer",
-    "featurize", "forward", "load_model", "loss_and_grad", "optimizer_step",
-    "predict", "save_model", "softmax",
-    "Metrics", "RunReport", "TrainConfig", "aggregate_runs", "checkpoint_steps",
-    "evaluate", "few_shot_select", "rescore_analysis", "run_training", "train",
+    "ClassDistribution", "Strategy", "difficulty_score", "few_shot_select", "make_plan",
+    "normalize_restricted", "rank_examples", "rank_weights", "score_dataset",
+    "score_histogram", "token_lengths",
 ]

@@ -2,7 +2,7 @@
 
 Setting precedence is flag > config file > built-in default. The config
 file is a flat JSON object keyed like ``{"train.epochs": 5}``; the full key
-list lives in CONFIG_SCHEMA. Every run directory gets a manifest.json with
+list lives in SETTINGS. Every run directory gets a manifest.json with
 the resolved settings, input digests and timestamps; all other outputs are
 byte-deterministic for identical inputs and seeds.
 """
@@ -11,100 +11,63 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dataset_io import load_dataset, load_external_scores, read_score_file
+from .dataset_io import (Dataset, load_dataset, open_atomic, read_predictions,
+                         read_score_file, token_lengths)
 from .samplers import Strategy, make_plan, write_plan_jsonl
-from .scoring import score_histogram, score_table_from_probs, write_histogram_csv
-from .trainer import (FEWSHOT_STREAM, TrainConfig, aggregate_runs, featurize_splits,
+from .scoring import (ScoreTable, score_histogram, score_table_from_probs,
+                      write_histogram_csv)
+from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, TrainConfig, aggregate_runs, featurize_splits,
                       few_shot_select, resolve_score_table, run_training,
                       write_aggregate_csv, write_aggregate_text, write_checkpoint_csv,
                       write_report_json)
 
-CONFIG_SCHEMA = {
-    "train.epochs": int,
-    "train.batch_size": int,
-    "train.checkpoint_fraction": float,
-    "train.seeds": list,
-    "train.strategy": str,
-    "train.max_tokens": int,
-    "train.rescore": bool,
-    "train.rescore_split": str,
-    "optimizer.kind": str,
-    "optimizer.lr": float,
-    "optimizer.weight_decay": float,
-    "optimizer.beta1": float,
-    "optimizer.beta2": float,
-    "optimizer.epsilon": float,
-    "model.dim": int,
-    "probe.fraction": float,
-    "probe.epochs": int,
-    "probe.seed": int,
-    "scores.path": str,
-    "analyze.bins": int,
-    "fewshot.k": int,
-    "data.classes": int,
-    "data.format": str,
-    "compare.jobs": int,
-}
 
-DEFAULTS = {
-    "train.epochs": 5,
-    "train.batch_size": 16,
-    "train.checkpoint_fraction": 0.1,
-    "train.seeds": [66, 88, 99],
-    "train.strategy": "Random",
-    "train.max_tokens": None,
-    "train.rescore": False,
-    "train.rescore_split": "train",
-    "optimizer.kind": "adamw",
-    "optimizer.lr": None,
-    "optimizer.weight_decay": 0.01,
-    "optimizer.beta1": 0.9,
-    "optimizer.beta2": 0.999,
-    "optimizer.epsilon": 1e-8,
-    "model.dim": 2 ** 16,
-    "probe.fraction": 0.1,
-    "probe.epochs": 1,
-    "probe.seed": 0,
-    "scores.path": None,
-    "analyze.bins": 20,
-    "fewshot.k": 64,
-    "data.classes": 2,
-    "data.format": "jsonl",
-    "compare.jobs": 1,
-}
+class Setting(NamedTuple):
+    dest: str | None        # argparse destination; None when no flag sets the key
+    field: str | None       # TrainConfig field; None for the CLI-only keys
+    type: type              # JSON type a config file must give
+    default: object = None  # CLI-only keys only; TrainConfig holds the others
 
-# CLI flag destination -> flat config key
-FLAG_KEYS = {
-    "epochs": "train.epochs",
-    "batch_size": "train.batch_size",
-    "checkpoint_fraction": "train.checkpoint_fraction",
-    "seed": "train.seeds",
-    "strategy": "train.strategy",
-    "max_tokens": "train.max_tokens",
-    "rescore": "train.rescore",
-    "rescore_split": "train.rescore_split",
-    "optimizer": "optimizer.kind",
-    "lr": "optimizer.lr",
-    "dim": "model.dim",
-    "probe_fraction": "probe.fraction",
-    "probe_epochs": "probe.epochs",
-    "probe_seed": "probe.seed",
-    "scores": "scores.path",
-    "bins": "analyze.bins",
-    "k": "fewshot.k",
-    "classes": "data.classes",
-    "format": "data.format",
-    "jobs": "compare.jobs",
+
+SETTINGS = {
+    "train.epochs": Setting("epochs", "epochs", int),
+    "train.batch_size": Setting("batch_size", "batch_size", int),
+    "train.checkpoint_fraction": Setting("checkpoint_fraction", "checkpoint_fraction", float),
+    "train.seeds": Setting("seed", "seeds", list),
+    "train.strategy": Setting("strategy", "strategy", str),
+    "train.max_tokens": Setting("max_tokens", "max_tokens", int),
+    "train.rescore": Setting("rescore", "rescore", bool),
+    "train.rescore_split": Setting("rescore_split", "rescore_split", str),
+    "optimizer.kind": Setting("optimizer", "optimizer", str),
+    "optimizer.lr": Setting("lr", "learning_rate", float),
+    "optimizer.weight_decay": Setting(None, "weight_decay", float),
+    "optimizer.beta1": Setting(None, "beta1", float),
+    "optimizer.beta2": Setting(None, "beta2", float),
+    "optimizer.epsilon": Setting(None, "epsilon", float),
+    "model.dim": Setting("dim", "dim", int),
+    "probe.fraction": Setting("probe_fraction", "probe_fraction", float),
+    "probe.epochs": Setting("probe_epochs", "probe_epochs", int),
+    "probe.seed": Setting("probe_seed", "probe_seed", int),
+    "scores.path": Setting("scores", "scores_path", str),
+    "analyze.bins": Setting("bins", "histogram_bins", int),
+    "fewshot.k": Setting("k", None, int, 64),
+    "data.classes": Setting("classes", None, int, 2),
+    "data.format": Setting("format", None, str, "jsonl"),
+    "compare.jobs": Setting("jobs", None, int, 1),
 }
 
 
@@ -144,34 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--train", required=True, help="training split file")
             p.add_argument("--val", required=True, help="validation split file")
             p.add_argument("--test", required=True, help="test split file")
-        p.add_argument("--format", choices=["jsonl", "csv"], default=None)
-        p.add_argument("--classes", type=_positive_int, default=None,
+        p.add_argument("--format", choices=["jsonl", "csv"])
+        p.add_argument("--classes", type=_positive_int,
                        help="number of classes (default 2)")
-        p.add_argument("--config", default=None, help="flat JSON config file")
+        p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--out", required=True, help="output file or directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        p.add_argument("--scores", default=None,
-                       help="external {id, probs} JSONL score file")
-        p.add_argument("--probe-fraction", dest="probe_fraction", type=float, default=None)
-        p.add_argument("--probe-epochs", dest="probe_epochs", type=int, default=None)
-        p.add_argument("--probe-seed", dest="probe_seed", type=int, default=None)
-        p.add_argument("--dim", type=_positive_int, default=None)
-        p.add_argument("--max-tokens", dest="max_tokens", type=_positive_int, default=None)
+        p.add_argument("--scores", help="external {id, probs} JSONL score file")
+        p.add_argument("--probe-fraction", type=float)
+        p.add_argument("--probe-epochs", type=int)
+        p.add_argument("--probe-seed", type=int)
+        p.add_argument("--dim", type=_positive_int)
+        p.add_argument("--max-tokens", type=_positive_int)
 
     def train_like(p):
-        p.add_argument("--seed", type=int, action="append", default=None,
+        p.add_argument("--seed", type=int, action="append",
                        help="random seed; repeat for several runs")
-        p.add_argument("--epochs", type=_positive_int, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=None)
-        p.add_argument("--checkpoint-fraction", dest="checkpoint_fraction",
-                       type=float, default=None)
-        p.add_argument("--optimizer", choices=["sgd", "adamw"], default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--rescore", action=argparse.BooleanOptionalAction, default=None,
+        p.add_argument("--epochs", type=_positive_int)
+        p.add_argument("--batch-size", type=_positive_int)
+        p.add_argument("--checkpoint-fraction", type=float)
+        p.add_argument("--optimizer", choices=["sgd", "adamw"])
+        p.add_argument("--lr", type=float)
+        p.add_argument("--rescore", action=argparse.BooleanOptionalAction,
                        help="recompute score histograms after every epoch")
-        p.add_argument("--rescore-split", dest="rescore_split",
-                       choices=["train", "validation"], default=None)
+        p.add_argument("--rescore-split", choices=["train", "validation"])
 
     p_score = sub.add_parser("score", help="write per-example difficulty scores")
     common(p_score)
@@ -180,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="dump epoch schedules (debug)")
     common(p_plan)
     p_plan.add_argument("--strategy", type=_strategy_name, required=True)
-    p_plan.add_argument("--seed", type=int, action="append", default=None)
+    p_plan.add_argument("--seed", type=int, action="append")
     p_plan.add_argument("--epochs", type=_positive_int, default=1,
                         help="number of epoch plans to dump")
-    p_plan.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=None)
+    p_plan.add_argument("--batch-size", type=_positive_int)
     p_plan.set_defaults(func=cmd_plan)
 
     p_train = sub.add_parser("train", help="run the fine-tuning protocol")
@@ -195,17 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_few = sub.add_parser("fewshot", help="select k examples, then train on them")
     common(p_few, datasets="splits")
     p_few.add_argument("--strategy", type=_strategy_name, required=True)
-    p_few.add_argument("--k", type=_positive_int, default=None,
+    p_few.add_argument("--k", type=_positive_int,
                        help="number of examples to select (default 64)")
     train_like(p_few)
     p_few.set_defaults(func=cmd_fewshot)
 
     p_ana = sub.add_parser("analyze", help="score-distribution histograms")
     p_ana.add_argument("scores_files", nargs="+", help="scores JSONL file(s)")
-    p_ana.add_argument("--predictions", default=None,
-                       help="JSONL of {id, predicted_label, gold_label}")
-    p_ana.add_argument("--bins", type=_bins_arg, default=None)
-    p_ana.add_argument("--config", default=None)
+    p_ana.add_argument("--predictions", help="JSONL of {id, predicted_label, gold_label}")
+    p_ana.add_argument("--bins", type=_bins_arg)
+    p_ana.add_argument("--config")
     p_ana.add_argument("--out", required=True)
     p_ana.add_argument("--force", action="store_true")
     p_ana.set_defaults(func=cmd_analyze)
@@ -213,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="strategy x seed grid with mean table")
     common(p_cmp, datasets="splits")
     p_cmp.add_argument("--strategies", type=_strategy_name, nargs="+", required=True)
-    p_cmp.add_argument("--jobs", type=_positive_int, default=None,
+    p_cmp.add_argument("--jobs", type=_positive_int,
                        help="parallel grid cells (default 1)")
     train_like(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
@@ -245,58 +204,43 @@ def load_config_file(path) -> dict:
         raise ValueError(f"{path}: config must be a JSON object")
     problems = []
     for key, value in raw.items():
-        if key not in CONFIG_SCHEMA:
+        if key not in SETTINGS:
             problems.append(f"unknown key {key!r}")
             continue
-        want = CONFIG_SCHEMA[key]
-        if value is None:
-            continue
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            continue
-        if want is int and isinstance(value, bool):
-            problems.append(f"{key}: expected {want.__name__}, got bool")
-        elif not isinstance(value, want):
+        want = SETTINGS[key].type
+        # null keeps the key unset; an int is a valid float; a bool is only a bool
+        fits = isinstance(value, want) or (want is float and isinstance(value, int))
+        if value is not None and (not fits or (isinstance(value, bool) and want is not bool)):
             problems.append(f"{key}: expected {want.__name__}, got {type(value).__name__}")
     if problems:
         raise ValueError(f"{path}: config schema violations: " + "; ".join(problems))
     return raw
 
 
+def default_settings() -> dict:
+    """Every key's built-in default: TrainConfig's for its fields, the table's otherwise."""
+    fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    settings = {key: fields[s.field] if s.field else s.default for key, s in SETTINGS.items()}
+    # JSON forms of the two defaults that are not JSON values
+    settings["train.strategy"] = settings["train.strategy"].value
+    settings["train.seeds"] = list(settings["train.seeds"])
+    return settings
+
+
 def resolve_settings(args) -> dict:
     """flag > config file > default, per key."""
-    settings = dict(DEFAULTS)
+    settings = default_settings()
     if getattr(args, "config", None):
         settings.update(load_config_file(args.config))
-    for dest, key in FLAG_KEYS.items():
-        value = getattr(args, dest, None)
+    for key, s in SETTINGS.items():
+        value = getattr(args, s.dest, None) if s.dest else None
         if value is not None:
             settings[key] = value
     return settings
 
 
-def config_from_settings(settings, strategy: str | None = None) -> TrainConfig:
-    return TrainConfig(
-        epochs=settings["train.epochs"],
-        batch_size=settings["train.batch_size"],
-        checkpoint_fraction=settings["train.checkpoint_fraction"],
-        seeds=tuple(settings["train.seeds"]),
-        strategy=strategy or settings["train.strategy"],
-        optimizer=settings["optimizer.kind"],
-        learning_rate=settings["optimizer.lr"],
-        weight_decay=settings["optimizer.weight_decay"],
-        beta1=settings["optimizer.beta1"],
-        beta2=settings["optimizer.beta2"],
-        epsilon=settings["optimizer.epsilon"],
-        dim=settings["model.dim"],
-        scores_path=settings["scores.path"],
-        probe_fraction=settings["probe.fraction"],
-        probe_epochs=settings["probe.epochs"],
-        probe_seed=settings["probe.seed"],
-        max_tokens=settings["train.max_tokens"],
-        rescore=bool(settings["train.rescore"]),
-        rescore_split=settings["train.rescore_split"],
-        histogram_bins=settings["analyze.bins"],
-    )
+def train_config(settings) -> TrainConfig:
+    return TrainConfig(**{s.field: settings[key] for key, s in SETTINGS.items() if s.field})
 
 
 def _load_split(path, settings, split_tag):
@@ -330,7 +274,7 @@ def _check_out_dir(path, force: bool) -> Path:
     return out
 
 
-def write_manifest(path, args, settings, input_paths) -> None:
+def write_manifest(path, settings, input_paths) -> None:
     manifest = {
         "schema_version": 1,
         "tool": "curlearn",
@@ -340,9 +284,93 @@ def write_manifest(path, args, settings, input_paths) -> None:
         "resolved_config": {k: settings[k] for k in sorted(settings)},
         "input_digests": {str(p): _sha256(p) for p in input_paths if p},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_run_outputs(out_dir: Path, prefix: str, report) -> None:
+    stem = f"{prefix}{report.strategy}_seed{report.seed}"
+    write_report_json(report, out_dir / f"report_{stem}.json")
+    write_checkpoint_csv(report, out_dir / f"checkpoints_{stem}.csv")
+    if report.score_histograms:
+        write_histogram_csv(report.score_histograms, out_dir / f"histograms_{stem}.csv")
+
+
+# ---------------------------------------------------------------- grid runner
+
+
+@dataclasses.dataclass
+class Cell:
+    """One (strategy, seed) training run and everything it reads."""
+
+    config: TrainConfig
+    seed: int
+    splits: tuple[Dataset, Dataset, Dataset]  # train (or few-shot subset), val, test
+    table: ScoreTable | None
+    features: tuple  # the splits' FeatureMatrix, in the same order
+
+
+def _run_cell(cell: Cell, out_dir: Path, prefix: str):
+    """Train one cell and write its outputs; a failure comes back as its message."""
+    try:
+        report = run_training(*cell.splits, cell.config, seed=cell.seed,
+                              score_table=cell.table, features=cell.features).report
+        _write_run_outputs(out_dir, prefix, report)
+        return report, None
+    except Exception as err:  # noqa: BLE001 - the grid marks the gap and keeps going
+        return None, str(err)
+
+
+def run_grid(cells, jobs: int, out_dir: Path, prefix: str = "") -> tuple[dict, bool]:
+    """Run every cell, in ``jobs`` worker processes when jobs > 1.
+
+    A failed cell is reported on stderr and the others still run. Returns
+    the finished reports keyed by (strategy name, seed) and whether any
+    cell failed.
+    """
+    run = functools.partial(_run_cell, out_dir=out_dir, prefix=prefix)
+    reports, failed = {}, False
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        futures = [pool.submit(run, cell) if pool else None for cell in cells]
+        for cell, future in zip(cells, futures):
+            try:
+                report, error = future.result() if future else run(cell)
+            except concurrent.futures.BrokenExecutor as err:  # a worker process died
+                report, error = None, str(err)
+            name = cell.config.strategy.value
+            if error is None:
+                reports[(name, cell.seed)] = report
+            else:
+                failed = True
+                print(f"curlearn: run failed: {name} seed {cell.seed}: {error}",
+                      file=sys.stderr)
+    return reports, failed
+
+
+def _prepare_grid(args, strategies, few_shot: bool = False):
+    """Settings, config, the three splits, the output directory and the one
+    score table every cell shares (None when no cell needs scores)."""
+    settings = resolve_settings(args)
+    config = train_config(settings)
+    splits = (_load_split(args.train, settings, "train"),
+              _load_split(args.val, settings, "validation"),
+              _load_split(args.test, settings, "test"))
+    k = settings["fewshot.k"]
+    if few_shot and k > len(splits[0]):
+        raise ValueError(f"k={k} exceeds training set size {len(splits[0])}")
+    out_dir = _check_out_dir(args.out, args.force)
+    table = None
+    if any(s.needs_scores for s in strategies) or config.rescore:
+        table = resolve_score_table(splits[0], config)
+    return settings, config, splits, out_dir, table
+
+
+def _finish_grid(args, settings, failed: bool) -> int:
+    write_manifest(Path(args.out) / "manifest.json", settings,
+                   [args.train, args.val, args.test, settings["scores.path"], args.config])
+    return 1 if failed else 0
 
 
 # ------------------------------------------------------------- subcommands
@@ -352,19 +380,16 @@ def cmd_score(args) -> int:
     settings = resolve_settings(args)
     dataset = _load_split(args.dataset, settings, "train")
     _check_out_file(args.out, args.force)
-    if settings["scores.path"]:
-        table = load_external_scores(settings["scores.path"], dataset)
-    else:
-        table = resolve_score_table(dataset, config_from_settings(settings))
+    table = resolve_score_table(dataset, train_config(settings))
     order = np.argsort(table.ids, kind="stable")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_atomic(args.out, encoding="utf-8") as fh:
         for row in order:
             fh.write(json.dumps({
                 "id": int(table.ids[row]),
                 "probs": [float(p) for p in table.distributions[row]],
                 "score": float(table.scores[row]),
             }) + "\n")
-    write_manifest(str(args.out) + ".manifest.json", args, settings,
+    write_manifest(str(args.out) + ".manifest.json", settings,
                    [args.dataset, settings["scores.path"], args.config])
     return 0
 
@@ -376,14 +401,9 @@ def cmd_plan(args) -> int:
     _check_out_file(args.out, args.force)
     table = None
     if strategy.needs_scores:
-        if settings["scores.path"]:
-            table = load_external_scores(settings["scores.path"], dataset)
-        else:
-            table = resolve_score_table(dataset, config_from_settings(settings))
-    length_index = None
-    if strategy is Strategy.LENGTH:
-        from .dataset_io import token_lengths
-        length_index = token_lengths(dataset, settings["train.max_tokens"])
+        table = resolve_score_table(dataset, train_config(settings))
+    length_index = (token_lengths(dataset, settings["train.max_tokens"])
+                    if strategy is Strategy.LENGTH else None)
     seed = int(settings["train.seeds"][0])
     plans = []
     for epoch in range(args.epochs):
@@ -392,188 +412,86 @@ def cmd_plan(args) -> int:
                                batch_size=settings["train.batch_size"],
                                length_index=length_index, seed=seed))
     write_plan_jsonl(plans, args.out)
-    write_manifest(str(args.out) + ".manifest.json", args, settings,
+    write_manifest(str(args.out) + ".manifest.json", settings,
                    [args.dataset, settings["scores.path"], args.config])
     return 0
 
 
-def _load_three_splits(args, settings):
-    return (_load_split(args.train, settings, "train"),
-            _load_split(args.val, settings, "validation"),
-            _load_split(args.test, settings, "test"))
-
-
-def _write_run_outputs(out_dir: Path, prefix: str, outcome) -> None:
-    report = outcome.report
-    stem = f"{prefix}{report.strategy}_seed{report.seed}"
-    write_report_json(report, out_dir / f"report_{stem}.json")
-    write_checkpoint_csv(report, out_dir / f"checkpoints_{stem}.csv")
-    if report.score_histograms:
-        write_histogram_csv(report.score_histograms, out_dir / f"histograms_{stem}.csv")
-
-
 def cmd_train(args) -> int:
-    settings = resolve_settings(args)
-    config = config_from_settings(settings, strategy=args.strategy)
-    train_ds, val_ds, test_ds = _load_three_splits(args, settings)
-    out_dir = _check_out_dir(args.out, args.force)
-    table = None
-    if config.strategy.needs_scores or config.rescore:
-        table = resolve_score_table(train_ds, config)
-    features = featurize_splits((train_ds, val_ds, test_ds), config)
-    for seed in config.seeds:
-        outcome = run_training(train_ds, val_ds, test_ds, config, seed=seed,
-                               score_table=table, features=features)
-        _write_run_outputs(out_dir, "", outcome)
-    write_manifest(out_dir / "manifest.json", args, settings,
-                   [args.train, args.val, args.test, settings["scores.path"], args.config])
-    return 0
+    settings, config, splits, out_dir, table = _prepare_grid(
+        args, [Strategy.parse(args.strategy)])
+    features = featurize_splits(splits, config)
+    cells = [Cell(config, seed, splits, table, features) for seed in config.seeds]
+    _, failed = run_grid(cells, 1, out_dir)
+    return _finish_grid(args, settings, failed)
 
 
 def cmd_fewshot(args) -> int:
-    settings = resolve_settings(args)
-    config = config_from_settings(settings, strategy=args.strategy)
-    k = settings["fewshot.k"]
-    train_ds, val_ds, test_ds = _load_three_splits(args, settings)
-    if k > len(train_ds):
-        raise ValueError(f"k={k} exceeds training set size {len(train_ds)}")
-    out_dir = _check_out_dir(args.out, args.force)
-    table = None
-    if config.strategy.needs_scores or config.rescore:
-        table = resolve_score_table(train_ds, config)
+    settings, config, (train_ds, val_ds, test_ds), out_dir, table = _prepare_grid(
+        args, [Strategy.parse(args.strategy)], few_shot=True)
     feats_val_test = featurize_splits((val_ds, test_ds), config)
+    cells = []
     for seed in config.seeds:
         rng = np.random.default_rng((seed, FEWSHOT_STREAM))
-        subset = few_shot_select(config.strategy, table, train_ds, k=k, rng=rng,
-                                 batch_size=config.batch_size,
+        subset = few_shot_select(config.strategy, table, train_ds, k=settings["fewshot.k"],
+                                 rng=rng, batch_size=config.batch_size,
                                  max_tokens=config.max_tokens)
-        outcome = run_training(
-            subset, val_ds, test_ds, config, seed=seed,
-            score_table=table.restrict(subset.ids) if table is not None else None,
-            features=featurize_splits((subset,), config) + feats_val_test)
-        _write_run_outputs(out_dir, "fewshot_", outcome)
-    write_manifest(out_dir / "manifest.json", args, settings,
-                   [args.train, args.val, args.test, settings["scores.path"], args.config])
-    return 0
+        cells.append(Cell(config, seed, (subset, val_ds, test_ds),
+                          table.restrict(subset.ids) if table is not None else None,
+                          featurize_splits((subset,), config) + feats_val_test))
+    _, failed = run_grid(cells, 1, out_dir, prefix="fewshot_")
+    return _finish_grid(args, settings, failed)
 
 
 def cmd_analyze(args) -> int:
-    settings = resolve_settings(args) if args.config else dict(DEFAULTS)
-    bins = args.bins if args.bins is not None else settings["analyze.bins"]
+    bins = resolve_settings(args)["analyze.bins"]
     _check_out_file(args.out, args.force)
-    predictions = None
-    if args.predictions:
-        predictions = {}
-        with open(args.predictions, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                predictions[int(rec["id"])] = (int(rec["predicted_label"]),
-                                               int(rec["gold_label"]))
     reports = []
     for index, path in enumerate(args.scores_files):
         ids, probs, tag = read_score_file(path, epoch_tags=True)
         table = score_table_from_probs(probs, ids, source="external")
         tag = index if tag is None else tag
-        if predictions is None:
+        if not args.predictions:
             reports.append(score_histogram(table, bins=bins, epoch_tag=tag))
-        else:
-            missing = [int(i) for i in table.ids if int(i) not in predictions]
-            if missing:
-                raise ValueError(f"{path}: ids missing from predictions: {missing[:5]}")
-            preds = np.array([predictions[int(i)][0] for i in table.ids])
-            gold = np.array([predictions[int(i)][1] for i in table.ids])
-            reports.append(score_histogram(table, preds, gold, bins=bins, epoch_tag=tag))
+            continue
+        # labels are checked against this file's class count
+        predictions = read_predictions(args.predictions, probs.shape[1])
+        labels = [predictions.get(int(i)) for i in table.ids]
+        missing = [int(i) for i, pair in zip(table.ids, labels) if pair is None]
+        if missing:
+            raise ValueError(f"{path}: ids missing from predictions: {missing[:5]}")
+        preds, gold = np.array(labels, dtype=np.int64).T
+        reports.append(score_histogram(table, preds, gold, bins=bins, epoch_tag=tag))
     write_histogram_csv(reports, args.out)
-    write_manifest(str(args.out) + ".manifest.json", args,
-                   {"analyze.bins": bins},
+    write_manifest(str(args.out) + ".manifest.json", {"analyze.bins": bins},
                    list(args.scores_files) + [args.predictions, args.config])
     return 0
 
 
-def _compare_cell(payload):
-    train_ds, val_ds, test_ds, config, seed, table, features = payload
-    return run_training(train_ds, val_ds, test_ds, config, seed=seed,
-                        score_table=table, features=features)
-
-
 def cmd_compare(args) -> int:
-    settings = resolve_settings(args)
     strategies = [Strategy.parse(s) for s in args.strategies]
-    train_ds, val_ds, test_ds = _load_three_splits(args, settings)
-    out_dir = _check_out_dir(args.out, args.force)
-    base_config = config_from_settings(settings)
-    seeds = base_config.seeds
-    jobs = settings["compare.jobs"]
-
-    table = None
-    if any(s.needs_scores for s in strategies) or base_config.rescore:
-        table = resolve_score_table(train_ds, base_config)
-    features = featurize_splits((train_ds, val_ds, test_ds), base_config)
-
-    cells = []
-    for strategy in strategies:
-        config = config_from_settings(settings, strategy=strategy.value)
-        for seed in seeds:
-            cells.append((strategy, seed, config))
-
-    results: dict[tuple[str, int], object] = {}
-    failures: list[str] = []
-
-    def record(strategy, seed, outcome, error):
-        if error is None:
-            results[(strategy.value, seed)] = outcome
-            _write_run_outputs(out_dir, "", outcome)
-        else:
-            failures.append(f"{strategy.value} seed {seed}: {error}")
-
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_compare_cell,
-                            (train_ds, val_ds, test_ds, config, seed,
-                             table if config.strategy.needs_scores or config.rescore
-                             else None, features)): (strategy, seed)
-                for strategy, seed, config in cells}
-            for future, (strategy, seed) in futures.items():
-                try:
-                    record(strategy, seed, future.result(), None)
-                except Exception as err:  # noqa: BLE001 - gap marker, keep going
-                    record(strategy, seed, None, err)
-    else:
-        for strategy, seed, config in cells:
-            try:
-                outcome = _compare_cell(
-                    (train_ds, val_ds, test_ds, config, seed,
-                     table if config.strategy.needs_scores or config.rescore else None,
-                     features))
-                record(strategy, seed, outcome, None)
-            except Exception as err:  # noqa: BLE001
-                record(strategy, seed, None, err)
+    settings, config, splits, out_dir, table = _prepare_grid(args, strategies)
+    features = featurize_splits(splits, config)
+    cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits, table,
+                  features)
+             for strategy in strategies for seed in config.seeds]
+    reports, failed = run_grid(cells, settings["compare.jobs"], out_dir)
 
     rows = []
     for strategy in strategies:
-        done = [results[(strategy.value, s)].report for s in seeds
-                if (strategy.value, s) in results]
-        missing = [s for s in seeds if (strategy.value, s) not in results]
+        done = [reports[(strategy.value, s)] for s in config.seeds
+                if (strategy.value, s) in reports]
+        missing = [s for s in config.seeds if (strategy.value, s) not in reports]
         if done:
             row = aggregate_runs({strategy.value: done})[0]
         else:
-            row = {"strategy": strategy.value, "accuracy": float("nan"),
-                   "macro_f1": float("nan"), "macro_precision": float("nan"),
-                   "macro_recall": float("nan"), "seeds": []}
+            row = {"strategy": strategy.value, "seeds": [],
+                   **dict.fromkeys(AGGREGATE_COLUMNS[1:], float("nan"))}
         row["missing_seeds"] = missing
         rows.append(row)
     write_aggregate_csv(rows, out_dir / "aggregate.csv")
     write_aggregate_text(rows, out_dir / "aggregate.txt")
-    write_manifest(out_dir / "manifest.json", args, settings,
-                   [args.train, args.val, args.test, settings["scores.path"], args.config])
-    if failures:
-        for failure in failures:
-            print(f"curlearn: run failed: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish_grid(args, settings, failed)
 
 
 if __name__ == "__main__":

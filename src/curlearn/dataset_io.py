@@ -7,14 +7,18 @@ File formats (one record = one example):
 * CSV: RFC-4180, UTF-8, header row required, columns mirroring the JSONL
   fields. An empty ``text_pair`` cell means "no pair".
 
-External score files are JSONL records ``{"id": int, "probs": [C floats]}``.
+External score files are JSONL records ``{"id": int, "probs": [C floats]}``;
+prediction files are JSONL records ``{"id", "predicted_label", "gold_label"}``.
+Every writer in the package goes through ``open_atomic``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import unicodedata
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +27,29 @@ import numpy as np
 
 class DatasetFormatError(ValueError):
     """A dataset or score file violates its documented format."""
+
+
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "w", **kwargs):
+    """Open a temporary file next to ``path`` for writing; it replaces
+    ``path`` only when the block completes, and is removed if it raises."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _integer(value) -> int:
+    """``value`` as an int; bools and numbers with a fractional part are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -147,7 +174,7 @@ def load_dataset(
             raise DatasetFormatError(f"{path}: malformed record at line {line_no}: "
                                      "needs 'text' and 'label'")
         try:
-            label = int(rec["label"])
+            label = _integer(rec["label"])
         except (TypeError, ValueError):
             raise DatasetFormatError(
                 f"{path}: non-integer label at line {line_no}") from None
@@ -157,7 +184,7 @@ def load_dataset(
                 f"(label {label}, class_count {class_count})")
         if rec.get("id") is not None:
             try:
-                given = int(rec["id"])
+                given = _integer(rec["id"])
             except (TypeError, ValueError):
                 raise DatasetFormatError(
                     f"{path}: non-integer id at line {line_no}") from None
@@ -211,14 +238,14 @@ def _read_csv_records(path):
 def save_dataset(dataset: Dataset, path, format: str = "jsonl") -> None:
     """Persist a dataset; load_dataset(save_dataset(d)) is record-equivalent."""
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_atomic(path, encoding="utf-8") as fh:
             for ex in dataset.examples:
                 rec = {"id": ex.id, "text": ex.text, "label": ex.label}
                 if ex.text_pair is not None:
                     rec["text_pair"] = ex.text_pair
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_atomic(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "text", "text_pair", "label"])
             for ex in dataset.examples:
@@ -303,9 +330,9 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
                 raise DatasetFormatError(
                     f"{path}: record at line {line_no} needs 'id' and 'probs'")
             try:
-                rid = int(rec["id"])
+                rid = _integer(rec["id"])
                 if epoch_tags and "epoch" in rec:
-                    epochs.add(int(rec["epoch"]))
+                    epochs.add(_integer(rec["epoch"]))
                 probs = [float(p) for p in rec["probs"]]
             except (TypeError, ValueError):
                 raise DatasetFormatError(
@@ -336,6 +363,33 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
             k = int(np.argmax(bad))
             raise DatasetFormatError(f"{path}: {what} for id {ids[k]} at line {lines[k]}")
     return np.array(ids, dtype=np.int64), matrix, (epochs.pop() if epochs else None)
+
+
+def read_predictions(path, class_count: int) -> dict[int, tuple[int, int]]:
+    """Read a ``{id, predicted_label, gold_label}`` JSONL file into
+    id -> (predicted, gold).
+
+    Every field must be an integer, ids must be unique and both labels must
+    lie in [0, class_count); a violation raises a DatasetFormatError naming
+    the file and line.
+    """
+    predictions = {}
+    for line_no, rec in _read_jsonl_records(path):
+        try:
+            rid, pred, gold = (_integer(rec[k]) for k in ("id", "predicted_label", "gold_label"))
+        except KeyError as err:
+            raise DatasetFormatError(f"{path}: record at line {line_no} needs {err}") from None
+        except (TypeError, ValueError):
+            raise DatasetFormatError(
+                f"{path}: non-integer id or label at line {line_no}") from None
+        if rid in predictions:
+            raise DatasetFormatError(f"{path}: duplicate id {rid} at line {line_no}")
+        for name, label in (("predicted_label", pred), ("gold_label", gold)):
+            if not 0 <= label < class_count:
+                raise DatasetFormatError(f"{path}: {name} {label} outside [0, {class_count}) "
+                                         f"at line {line_no}")
+        predictions[rid] = (pred, gold)
+    return predictions
 
 
 def load_external_scores(path, dataset: Dataset):

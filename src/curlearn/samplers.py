@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import Dataset, TokenLengthIndex
+from .dataset_io import Dataset, TokenLengthIndex, open_atomic
 from .scoring import RankedList, ScoreTable, rank_examples
 
 
@@ -290,7 +290,7 @@ def write_plan_jsonl(plans, path) -> None:
 
     if isinstance(plans, EpochPlan):
         plans = [plans]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, encoding="utf-8") as fh:
         for epoch, plan in enumerate(plans):
             for position, (ex_id, tag) in enumerate(zip(plan.order, plan.batch_provenance)):
                 fh.write(json.dumps({"epoch": epoch, "position": position,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset_io import open_atomic
+
 _SUM_TOL = 1e-9
 
 
@@ -83,12 +85,6 @@ class ScoreTable:
 
     def __len__(self):
         return len(self.ids)
-
-    def score_of(self, example_id: int) -> float:
-        idx = np.flatnonzero(self.ids == example_id)
-        if idx.size == 0:
-            raise KeyError(f"id {example_id} not in score table")
-        return float(self.scores[idx[0]])
 
     def restrict(self, ids) -> "ScoreTable":
         """Sub-table for the given ids, in ascending id order."""
@@ -236,7 +232,7 @@ def write_histogram_csv(reports, path) -> None:
     """Serialize histogram reports: bin_lo, bin_hi, correct_count, incorrect_count, epoch_tag."""
     if isinstance(reports, HistogramReport):
         reports = [reports]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "correct_count", "incorrect_count", "epoch_tag"])
         for rep in reports:

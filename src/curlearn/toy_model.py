@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset_io import Dataset, Example, tokenize
-from .scoring import ClassDistribution, ScoreTable, score_dataset
+from .dataset_io import Dataset, Example, open_atomic, tokenize
+from .scoring import ClassDistribution
 
 
 def _hash_token(token: str) -> int:
@@ -371,12 +371,6 @@ def build_probe_scorer(dataset: Dataset, probe_fraction: float = 0.1,
     return provider
 
 
-def probe_score_table(dataset: Dataset, **kwargs) -> ScoreTable:
-    """Convenience: build a probe scorer and score the whole dataset with it."""
-    provider = build_probe_scorer(dataset, **kwargs)
-    return score_dataset(provider, dataset, source="probe_model")
-
-
 CHECKPOINT_VERSION = 1
 
 
@@ -404,7 +398,7 @@ def save_model(path, model: LinearModel, state: OptimizerState | None = None) ->
         if state.kind == "adamw":
             payload.update({"opt_m_w": state.m_w, "opt_v_w": state.v_w,
                             "opt_m_b": state.m_b, "opt_v_b": state.v_b})
-    with open(path, "wb") as fh:  # keep the exact path; np.savez would append .npz
+    with open_atomic(path, "wb") as fh:  # keep the exact path; np.savez would append .npz
         np.savez(fh, **payload)
 
 

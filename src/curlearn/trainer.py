@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset_io import Dataset, load_external_scores, token_lengths
+from .dataset_io import Dataset, load_external_scores, open_atomic, token_lengths
 from .samplers import (DEFAULT_BATCH_SIZE, DEFAULT_PARTITION_SPLIT, Strategy,
                        make_plan)
 from .scoring import (HistogramReport, ScoreTable, margins_from_matrix,
@@ -372,11 +372,6 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
                         score_table=score_table, epoch_snapshots=snapshots)
 
 
-def train(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
-          config: TrainConfig, seed: int | None = None) -> RunReport:
-    return run_training(train_ds, val_ds, test_ds, config, seed=seed).report
-
-
 def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | None = None,
                      bins: int = 20, max_tokens: int | None = None,
                      feats: FeatureMatrix | None = None) -> list[HistogramReport]:
@@ -455,7 +450,7 @@ def aggregate_runs(reports_by_strategy: dict[str, list[RunReport]]) -> list[dict
 
 def write_checkpoint_csv(report: RunReport, path) -> None:
     """Checkpoint series CSV: fraction_seen, acc, macro_f1, macro_p, macro_r, loss."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fraction_seen", "acc", "macro_f1", "macro_p", "macro_r", "loss"])
         for e in report.checkpoints:
@@ -467,7 +462,7 @@ def write_checkpoint_csv(report: RunReport, path) -> None:
 def write_report_json(report: RunReport, path, manifest_ref: str = "manifest.json") -> None:
     payload = report.to_dict()
     payload["manifest"] = manifest_ref
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -476,7 +471,7 @@ AGGREGATE_COLUMNS = ("strategy", "accuracy", "macro_f1", "macro_precision", "mac
 
 
 def write_aggregate_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(AGGREGATE_COLUMNS) + ["seeds", "missing_seeds"])
         for row in rows:
@@ -501,5 +496,5 @@ def write_aggregate_text(rows, path) -> None:
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for r in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths + [0] * 2)))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, encoding="utf-8") as fh:
         fh.write("\n".join(line.rstrip() for line in lines) + "\n")

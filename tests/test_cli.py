@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -361,3 +363,118 @@ def test_seed_flag_overrides_default_seed_list(tmp_path, splits):
     names = {p.name for p in out.iterdir()}
     assert "report_Random_seed7.json" in names
     assert len([n for n in names if n.startswith("report_")]) == 1
+
+
+def _failing_run_training(monkeypatch, fails):
+    """Make cli's run_training raise for every cell that ``fails(strategy, seed)`` picks."""
+    import curlearn.cli as cli
+    real = cli.run_training
+
+    def run_training(train_ds, val_ds, test_ds, config, seed=None, **kwargs):
+        if fails(config.strategy.value, seed):
+            raise RuntimeError("injected failure")
+        return real(train_ds, val_ds, test_ds, config, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_training", run_training)
+
+
+def test_compare_marks_failed_cells_and_runs_the_rest(tmp_path, splits, monkeypatch,
+                                                      capsys):
+    _failing_run_training(monkeypatch, lambda strategy, seed: strategy == "E2D")
+    out = tmp_path / "cmp"
+    rc = main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",
+               "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "curlearn: run failed: E2D seed 66: injected failure" in err
+    assert "curlearn: run failed: E2D seed 88: injected failure" in err
+    assert (out / "report_Random_seed66.json").exists()
+    assert (out / "report_Random_seed88.json").exists()
+    assert not list(out.glob("report_E2D_*"))
+    assert (out / "manifest.json").exists()
+    rows = {r.split(",")[0]: r.split(",") for r in
+            (out / "aggregate.csv").read_text().splitlines()[1:]}
+    assert rows["Random"][-2:] == ["66 88", ""]
+    assert rows["E2D"][-2:] == ["", "66 88"]
+    text = (out / "aggregate.txt").read_text()
+    assert "missing:66,88" in text
+    assert "missing" not in next(line for line in text.splitlines()
+                                 if line.startswith("Random"))
+
+
+@pytest.mark.parametrize("command, extra, stem", [
+    ("train", [], "Random"),
+    ("fewshot", ["--k", "40"], "fewshot_Random"),
+])
+def test_train_and_fewshot_run_every_seed_when_one_fails(tmp_path, splits, monkeypatch,
+                                                          capsys, command, extra, stem):
+    _failing_run_training(monkeypatch, lambda strategy, seed: seed == 66)
+    out = tmp_path / "run"
+    rc = main([command, *split_flags(splits), "--strategy", "Random", *extra,
+               "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "curlearn: run failed: Random seed 66: injected failure" in err
+    assert not (out / f"report_{stem}_seed66.json").exists()
+    assert (out / f"report_{stem}_seed88.json").exists()
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"id": 1, "predicted_label": 0}, "needs 'gold_label'"),
+    ({"id": 1, "predicted_label": 0, "gold_label": 7}, "gold_label 7 outside [0, 2) at line 2"),
+    ({"id": 1, "predicted_label": -3, "gold_label": 0},
+     "predicted_label -3 outside [0, 2) at line 2"),
+])
+def test_analyze_rejects_invalid_predictions(tmp_path, capsys, record, message):
+    scores = tmp_path / "s.jsonl"
+    write_scores(scores, 2)
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(json.dumps({"id": 0, "predicted_label": 0, "gold_label": 0}) + "\n"
+                     + json.dumps(record) + "\n")
+    out = tmp_path / "h.csv"
+    rc = main(["analyze", str(scores), "--predictions", str(preds), "--bins", "2",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{preds}: " in err and message in err
+    assert not out.exists()
+
+
+def test_analyze_rejects_fractional_ids(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(json.dumps({"id": 0.9, "probs": [0.6, 0.4]}) + "\n"
+                      + json.dumps({"id": 1.2, "probs": [0.3, 0.7]}) + "\n")
+    rc = main(["analyze", str(scores), "--bins", "2", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    assert f"{scores}: non-numeric id, epoch or probability at line 1" in capsys.readouterr().err
+
+
+def test_train_rejects_fractional_dataset_id(tmp_path, splits, capsys):
+    bad = tmp_path / "bad_train.jsonl"
+    bad.write_text(json.dumps({"id": 0, "text": "a b", "label": 0}) + "\n"
+                   + json.dumps({"id": 1.7, "text": "c d", "label": 1}) + "\n")
+    rc = main(["train", "--train", str(bad), "--val", splits["val"], "--test", splits["test"],
+               "--strategy", "Random", "--seed", "66", "--epochs", "1", "--dim", DIM,
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"{bad}: non-integer id at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_training reaches workers only by fork")
+def test_compare_jobs_records_a_dead_worker_and_writes_the_manifest(tmp_path, splits,
+                                                                    monkeypatch, capsys):
+    # the E2D cell kills its worker process
+    _failing_run_training(monkeypatch, lambda strategy, seed: strategy == "E2D"
+                          and os._exit(1))
+    out = tmp_path / "cmp"
+    rc = main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",
+               "--seed", "66", "--epochs", "1", "--dim", DIM, "--jobs", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert "curlearn: run failed: E2D seed 66: " in capsys.readouterr().err
+    assert (out / "aggregate.csv").exists()
+    assert (out / "manifest.json").exists()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from curlearn.dataset_io import (Dataset, DatasetFormatError, Example, load_dataset,
-                                 load_external_scores, save_dataset, stratified_split,
+                                 load_external_scores, open_atomic, read_predictions,
+                                 read_score_file, save_dataset, stratified_split,
                                  token_lengths, tokenize)
 
 # ------------------------------------------------------------------ loading
@@ -312,3 +313,126 @@ def test_external_scores_non_finite_probability(tmp_path, tiny_dataset, bad):
     with pytest.raises(DatasetFormatError,
                        match=rf"{path.name}: non-finite probability for id 1 at line 2"):
         load_external_scores(path, tiny_dataset)
+
+
+# ------------------------------------------------------------- integer fields
+
+
+@pytest.mark.parametrize("bad_id", [1.7, 1.2, True, "1.0", [1]])
+def test_load_rejects_non_integer_ids_with_line(tmp_path, bad_id):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": 0, "text": "a", "label": 0},
+                       {"id": bad_id, "text": "b", "label": 1}])
+    with pytest.raises(DatasetFormatError, match=f"{path}: non-integer id at line 2"):
+        load_dataset(path, "jsonl", class_count=2)
+
+
+@pytest.mark.parametrize("bad_label", [0.5, False])
+def test_load_rejects_non_integer_labels_with_line(tmp_path, bad_label):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"text": "a", "label": bad_label}])
+    with pytest.raises(DatasetFormatError, match="non-integer label at line 1"):
+        load_dataset(path, "jsonl", class_count=2)
+
+
+def test_load_accepts_integral_float_ids(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": 0.0, "text": "a", "label": 0},
+                       {"id": 1, "text": "b", "label": 1.0}])
+    ds = load_dataset(path, "jsonl", class_count=2)
+    assert ds.ids.tolist() == [0, 1] and ds.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("bad_id", [0.9, 1.2, True, "Infinity"])
+def test_score_file_rejects_non_integer_ids_with_line(tmp_path, bad_id):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"id": 0, "probs": [0.5, 0.5]}) + "\n"
+                    + json.dumps({"id": bad_id, "probs": [0.5, 0.5]})
+                    .replace('"Infinity"', "Infinity") + "\n")
+    with pytest.raises(DatasetFormatError, match=f"{path}: non-numeric id.* at line 2"):
+        read_score_file(path)
+
+
+# ---------------------------------------------------------------- predictions
+
+
+def test_read_predictions_maps_ids_to_labels(tmp_path):
+    path = tmp_path / "p.jsonl"
+    write_jsonl(path, [{"id": 1, "predicted_label": 2, "gold_label": 0},
+                       {"id": 0.0, "predicted_label": 0, "gold_label": 2}])
+    assert read_predictions(path, 3) == {1: (2, 0), 0: (0, 2)}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"id": 1, "predicted_label": 0}, "record at line 2 needs 'gold_label'"),
+    ({"predicted_label": 0, "gold_label": 0}, "record at line 2 needs 'id'"),
+    ({"id": 1, "predicted_label": "zero", "gold_label": 0}, "non-integer id or label at line 2"),
+    ({"id": 1, "predicted_label": 0, "gold_label": 0.5}, "non-integer id or label at line 2"),
+    ({"id": 1.2, "predicted_label": 0, "gold_label": 0}, "non-integer id or label at line 2"),
+    ({"id": 0, "predicted_label": 1, "gold_label": 1}, "duplicate id 0 at line 2"),
+    ({"id": 1, "predicted_label": 0, "gold_label": 7}, "gold_label 7 outside [0, 2) at line 2"),
+    ({"id": 1, "predicted_label": -3, "gold_label": 0},
+     "predicted_label -3 outside [0, 2) at line 2"),
+])
+def test_read_predictions_rejects_bad_records_with_line(tmp_path, record, message):
+    path = tmp_path / "p.jsonl"
+    write_jsonl(path, [{"id": 0, "predicted_label": 0, "gold_label": 1}, record])
+    with pytest.raises(DatasetFormatError) as err:
+        read_predictions(path, 2)
+    assert str(err.value) == f"{path}: {message}"
+
+
+# ------------------------------------------------------------- atomic outputs
+
+
+def _plan_writer(path):
+    from curlearn.samplers import Strategy, make_plan, write_plan_jsonl
+    ds = Dataset([Example(id=i, text="t", label=0) for i in range(40)], class_count=2)
+    plan = make_plan(Strategy.RANDOM, None, ds, rng=np.random.default_rng(0))
+    write_plan_jsonl([plan, None], path)  # the second plan fails mid-stream
+
+
+def _histogram_writer(path):
+    from curlearn.scoring import ScoreTable, score_histogram, write_histogram_csv
+    table = ScoreTable(ids=[0, 1], scores=[0.2, 0.9], distributions=[[0.6, 0.4], [1, 0]])
+    write_histogram_csv([score_histogram(table, bins=4), None], path)
+
+
+def _aggregate_writer(path):
+    from curlearn.trainer import write_aggregate_csv
+    row = {"strategy": "E2D", "accuracy": 0.5, "macro_f1": 0.5, "macro_precision": 0.5,
+           "macro_recall": 0.5, "seeds": [66]}
+    write_aggregate_csv([row, {"strategy": "PMD"}], path)
+
+
+def _dataset_writer(path):
+    ds = Dataset([Example(id=0, text="a", label=0)], class_count=2)
+    ds.examples.append(None)
+    save_dataset(ds, path)
+
+
+@pytest.mark.parametrize("writer", [_plan_writer, _histogram_writer, _aggregate_writer,
+                                    _dataset_writer])
+def test_writer_failing_mid_stream_leaves_no_partial_file(tmp_path, writer):
+    fresh, kept = tmp_path / "fresh.out", tmp_path / "kept.out"
+    kept.write_text("previous run\n")
+    for path in (fresh, kept):
+        with pytest.raises((AttributeError, KeyError, TypeError)):
+            writer(path)
+    assert not fresh.exists()
+    assert kept.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
+
+
+def test_open_atomic_replaces_target_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    with open_atomic(path) as fh:
+        fh.write("first\n")
+        assert not path.exists()
+    assert path.read_text() == "first\n"
+    with pytest.raises(RuntimeError):
+        with open_atomic(path) as fh:
+            fh.write("second, partial")
+            raise RuntimeError("crash")
+    assert path.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -416,3 +416,21 @@ def test_plan_jsonl_dump(tmp_path):
     assert {r["epoch"] for r in records} == {0, 1}
     assert set(records[0]) == {"epoch", "position", "example_id", "partition_tag"}
     assert all(r["partition_tag"] in ("B1", "B2") for r in records)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_plan_is_a_permutation_for_random_sizes_batches_and_splits(strategy):
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        n = int(rng.integers(1, 301))
+        batch_size = int(rng.integers(1, 41))
+        b1 = int(rng.integers(0, batch_size + 1))
+        # ties in the scores exercise the id tie-break
+        ds, table = dataset_from_scores(rng.integers(0, 5, size=n) / 4)
+        lengths = TokenLengthIndex(lengths=rng.integers(1, 30, size=n))
+        plan = make_plan(strategy, table, ds, rng=np.random.default_rng(int(rng.integers(1000))),
+                         batch_size=batch_size, split=(b1, batch_size - b1),
+                         length_index=lengths)
+        assert sorted(plan.order.tolist()) == list(range(n)), (n, batch_size, b1)
+        assert len(plan.batch_provenance) == n
+        assert sum(len(b) for b in plan.batches()) == n

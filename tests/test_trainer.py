@@ -11,7 +11,7 @@ from curlearn.synthetic import make_separable_corpus
 from curlearn.toy_model import LinearModel
 from curlearn.trainer import (TrainConfig, aggregate_runs, checkpoint_steps,
                               compute_metrics, evaluate, few_shot_select,
-                              rescore_analysis, run_training, train,
+                              rescore_analysis, run_training,
                               write_checkpoint_csv, write_report_json)
 
 from conftest import dataset_from_scores
@@ -118,7 +118,7 @@ def test_checkpoint_marks_always_end_at_n():
 def test_train_produces_expected_checkpoint_count():
     train_ds, val_ds, test_ds = small_splits()
     cfg = TrainConfig(epochs=2, strategy="Random", dim=DIM)
-    report = train(train_ds, val_ds, test_ds, cfg, seed=66)
+    report = run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
     assert len(report.checkpoints) == 20  # ceil(1/0.1) per epoch
     assert report.strategy == "Random"
     assert report.seed == 66
@@ -127,8 +127,8 @@ def test_train_produces_expected_checkpoint_count():
 def test_train_is_bit_deterministic():
     train_ds, val_ds, test_ds = small_splits()
     cfg = TrainConfig(epochs=2, strategy="PMD", dim=DIM)
-    a = train(train_ds, val_ds, test_ds, cfg, seed=88)
-    b = train(train_ds, val_ds, test_ds, cfg, seed=88)
+    a = run_training(train_ds, val_ds, test_ds, cfg, seed=88).report
+    b = run_training(train_ds, val_ds, test_ds, cfg, seed=88).report
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
@@ -167,7 +167,7 @@ def test_epoch_plans_consume_each_example_exactly_once(monkeypatch):
     monkeypatch.setattr(trainer_mod, "make_plan", spy)
     train_ds, val_ds, test_ds = small_splits()
     cfg = TrainConfig(epochs=3, strategy="SME", dim=DIM)
-    train(train_ds, val_ds, test_ds, cfg, seed=66)
+    run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
     assert len(consumed) == 3
     for order in consumed:
         assert sorted(order) == list(range(len(train_ds)))
@@ -206,7 +206,7 @@ def test_adding_epochs_preserves_earlier_plans(monkeypatch):
         monkeypatch.setattr(trainer_mod, "make_plan", spy)
         train_ds, val_ds, test_ds = small_splits(48, 24, 24)
         cfg = TrainConfig(epochs=epochs, strategy="SMD", dim=DIM)
-        train(train_ds, val_ds, test_ds, cfg, seed=99)
+        run_training(train_ds, val_ds, test_ds, cfg, seed=99).report
         monkeypatch.setattr(trainer_mod, "make_plan", real_make_plan)
         return consumed
 
@@ -218,7 +218,7 @@ def test_adding_epochs_preserves_earlier_plans(monkeypatch):
 def test_best_checkpoint_tie_resolves_to_earliest():
     train_ds, val_ds, test_ds = small_splits()
     cfg = TrainConfig(epochs=2, strategy="Random", dim=DIM, learning_rate=0.0)
-    report = train(train_ds, val_ds, test_ds, cfg, seed=66)
+    report = run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
     accs = [c.metrics.accuracy for c in report.checkpoints]
     assert len(set(accs)) == 1  # frozen model: every checkpoint ties
     assert report.best_checkpoint_index == 0
@@ -245,7 +245,7 @@ def test_run_aborts_on_external_scores_for_wrong_ids(tmp_path):
                                 for i in range(9)) + "\n")
     cfg = TrainConfig(epochs=1, strategy="E2D", dim=DIM, scores_path=str(scores))
     with pytest.raises(Exception, match="missing id"):
-        train(train_ds, val_ds, test_ds, cfg, seed=66)
+        run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
 
 
 # ------------------------------------------------------------------ few-shot
@@ -394,7 +394,7 @@ def test_aggregate_rejects_inconsistent_seed_sets():
 def test_checkpoint_csv_columns(tmp_path):
     train_ds, val_ds, test_ds = small_splits(32, 16, 16)
     cfg = TrainConfig(epochs=1, strategy="Random", dim=DIM)
-    report = train(train_ds, val_ds, test_ds, cfg, seed=66)
+    report = run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
     path = tmp_path / "ckpt.csv"
     write_checkpoint_csv(report, path)
     header = path.read_text().splitlines()[0]
@@ -405,7 +405,7 @@ def test_checkpoint_csv_columns(tmp_path):
 def test_report_json_references_manifest(tmp_path):
     train_ds, val_ds, test_ds = small_splits(32, 16, 16)
     cfg = TrainConfig(epochs=1, strategy="Random", dim=DIM)
-    report = train(train_ds, val_ds, test_ds, cfg, seed=66)
+    report = run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
     path = tmp_path / "report.json"
     write_report_json(report, path)
     payload = json.loads(path.read_text())
@@ -444,3 +444,14 @@ def test_config_defaults_match_protocol():
     assert cfg.optimizer == "adamw"
     assert cfg.resolved_lr() == 0.01
     assert TrainConfig(optimizer="sgd").resolved_lr() == 0.1
+
+
+def test_checkpoint_marks_are_increasing_and_capped_for_random_inputs():
+    rng = np.random.default_rng(17)
+    fractions = np.concatenate([rng.uniform(1e-3, 1.0, size=300),
+                                1 / rng.integers(1, 200, size=100), [1.0, 0.1, 0.3]])
+    for fraction in fractions:
+        n = int(rng.integers(1, 20_001))
+        marks = checkpoint_steps(n, 16, float(fraction))
+        assert marks[0] >= 1 and marks[-1] == n, (n, fraction)
+        assert all(a < b for a, b in zip(marks, marks[1:])), (n, fraction)
