@@ -27,12 +27,12 @@ for strategy in Strategy:
     print(f"{strategy.value:7s} {plan.order.tolist()}")
 
 # The probabilistic strategies weight rank n by n^2; later ranks dominate.
-rw = rank_weights(10, "square")
+w = rank_weights(10, "square")
 print("\nsquare-law sampling probabilities by rank:")
-print(np.round(rw.probabilities(), 3).tolist())
-rw2 = rank_weights(10, "complement_square")
+print(np.round(w / w.sum(), 3).tolist())
+w2 = rank_weights(10, "complement_square")
 print("complement-law (note rank 10 gets zero):")
-print(np.round(rw2.raw / rw2.total, 3).tolist())
+print(np.round(w2 / w2.sum(), 3).tolist())
 
 # PME/PMD split every 16-example batch: 9 draws favoring one end of the
 # ranking, then 7 favoring the other, all without replacement.

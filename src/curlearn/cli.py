@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_plan)
     p_plan.add_argument("--strategy", type=_strategy_name, required=True)
     p_plan.add_argument("--seed", type=int, action="append")
-    p_plan.add_argument("--epochs", type=_positive_int, default=1,
-                        help="number of epoch plans to dump")
+    p_plan.add_argument("--epochs", type=_positive_int,
+                        help="number of epoch plans to dump (default 1)")
     p_plan.add_argument("--batch-size", type=_positive_int)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -202,15 +202,20 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}: invalid JSON config: {err.msg}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    defaults = default_settings()
     problems = []
     for key, value in raw.items():
         if key not in SETTINGS:
             problems.append(f"unknown key {key!r}")
             continue
         want = SETTINGS[key].type
-        # null keeps the key unset; an int is a valid float; a bool is only a bool
+        # null keeps a key unset, so only a key unset by default takes it;
+        # an int is a valid float; a bool is only a bool
         fits = isinstance(value, want) or (want is float and isinstance(value, int))
-        if value is not None and (not fits or (isinstance(value, bool) and want is not bool)):
+        if value is None:
+            if defaults[key] is not None:
+                problems.append(f"{key}: expected {want.__name__}, got null")
+        elif not fits or (isinstance(value, bool) and want is not bool):
             problems.append(f"{key}: expected {want.__name__}, got {type(value).__name__}")
     if problems:
         raise ValueError(f"{path}: config schema violations: " + "; ".join(problems))
@@ -227,9 +232,10 @@ def default_settings() -> dict:
     return settings
 
 
-def resolve_settings(args) -> dict:
-    """flag > config file > default, per key."""
+def resolve_settings(args, defaults=None) -> dict:
+    """flag > config file > default, per key; ``defaults`` overrides built-in ones."""
     settings = default_settings()
+    settings.update(defaults or {})
     if getattr(args, "config", None):
         settings.update(load_config_file(args.config))
     for key, s in SETTINGS.items():
@@ -395,21 +401,20 @@ def cmd_score(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    settings = resolve_settings(args)
+    settings = resolve_settings(args, defaults={"train.epochs": 1})
+    config = train_config(settings)
     dataset = _load_split(args.dataset, settings, "train")
-    strategy = Strategy.parse(settings["train.strategy"])
+    strategy = config.strategy
     _check_out_file(args.out, args.force)
-    table = None
-    if strategy.needs_scores:
-        table = resolve_score_table(dataset, train_config(settings))
-    length_index = (token_lengths(dataset, settings["train.max_tokens"])
+    table = resolve_score_table(dataset, config) if strategy.needs_scores else None
+    length_index = (token_lengths(dataset, config.max_tokens)
                     if strategy is Strategy.LENGTH else None)
-    seed = int(settings["train.seeds"][0])
+    seed = config.seeds[0]
     plans = []
-    for epoch in range(args.epochs):
+    for epoch in range(config.epochs):
         rng = np.random.default_rng((seed, epoch))
         plans.append(make_plan(strategy, table, dataset, rng=rng,
-                               batch_size=settings["train.batch_size"],
+                               batch_size=config.batch_size,
                                length_index=length_index, seed=seed))
     write_plan_jsonl(plans, args.out)
     write_manifest(str(args.out) + ".manifest.json", settings,

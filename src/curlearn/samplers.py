@@ -12,12 +12,15 @@ examples seen) stays exact:
   examples not yet used this epoch.
 * Random      — uniform permutation.  Length — shortest-first.
 
-Weighted sampling without replacement is realized as an exponential race:
-item i gets arrival time Exp(1)/w_i and the permutation sorts by arrival.
-That distribution is exactly the successive-draw law
+Weighted sampling without replacement is realized as an exponential race
+(weighted_permutation, the one place the races are drawn): item i gets
+arrival time Exp(1)/w_i and the permutation sorts by arrival.  That
+distribution is exactly the successive-draw law
 P(next = i | remaining) = w_i / sum of remaining weights.  Items with zero
 weight (the complement law gives rank N weight zero) have infinite arrival
 time: they come after every positive-weight item, ordered by ascending id.
+PME/PMD draw one race per law per epoch and consume both with skipping
+cursors, which keeps the law exact at O(N log N) per epoch.
 """
 
 from __future__ import annotations
@@ -70,38 +73,20 @@ DEFAULT_BATCH_SIZE = 16
 DEFAULT_PARTITION_SPLIT = (9, 7)  # the 6:4 partition ratio at batch size 16
 
 
-@dataclass
-class RankWeights:
-    """Raw rank weights w_1..w_N plus their own sum for normalization."""
-
-    raw: np.ndarray
-    law: str  # "square" | "complement_square"
-
-    @property
-    def total(self) -> float:
-        return float(self.raw.sum())
-
-    def probabilities(self) -> np.ndarray:
-        return self.raw / self.total
-
-
-def rank_weights(N: int, law: str = "square") -> RankWeights:
+def rank_weights(N: int, law: str = "square") -> np.ndarray:
     """w_n = n^2, or w_n = (N-n)^2 for the complement law (rank N gets 0).
 
-    The complement weights are normalized over their own sum rather than
-    over sum(j^2); a without-replacement sampler only sees the relative
-    proportions, which are identical either way.
+    The weights are raw; a without-replacement sampler only sees their
+    relative proportions, so each law is normalized over its own sum.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     n = np.arange(1, N + 1, dtype=np.float64)
     if law == "square":
-        raw = n ** 2
-    elif law == "complement_square":
-        raw = (N - n) ** 2
-    else:
-        raise ValueError(f"unknown rank weight law {law!r}")
-    return RankWeights(raw=raw, law=law)
+        return n ** 2
+    if law == "complement_square":
+        return (N - n) ** 2
+    raise ValueError(f"unknown rank weight law {law!r}")
 
 
 @dataclass
@@ -174,7 +159,7 @@ def probability_plan(ranked: RankedList, which: Strategy, rng: np.random.Generat
     if which not in (Strategy.SME, Strategy.SMD):
         raise ValueError(f"probability_plan handles SME/SMD, got {which}")
     _check_direction(ranked, which)
-    weights = rank_weights(len(ranked), "square").raw
+    weights = rank_weights(len(ranked), "square")
     order = weighted_permutation(ranked.order, weights, rng)
     return EpochPlan(order=order, batch_size=batch_size,
                      batch_provenance=_whole_tags(len(ranked)), strategy=which, seed=seed)
@@ -195,42 +180,34 @@ def partitioned_plan(ranked: RankedList, which: Strategy, rng: np.random.Generat
     N = len(ranked)
     if N == 0:
         raise ValueError("empty dataset")
-    w1 = rank_weights(N, "square").raw
-    w2 = rank_weights(N, "complement_square").raw
+    tags = []
+    for start in range(0, N, batch_size):
+        left = min(batch_size, N - start)
+        b1 = -(-left * split[0] // batch_size)  # ceil: split[0] in a full batch, B1 first
+        tags += ["B1"] * b1 + ["B2"] * (left - b1)
 
-    remaining = np.ones(N, dtype=bool)
-    order = np.empty(N, dtype=np.int64)
-    tags = np.empty(N, dtype="<U5")
-    filled = 0
-    while filled < N:
-        left = N - filled
-        if left >= batch_size:
-            b1, b2 = split
-        else:
-            b1 = -(-left * split[0] // batch_size)  # ceil, B1 gets priority
-            b2 = left - b1
-        for count, weights, tag in ((b1, w1, "B1"), (b2, w2, "B2")):
-            if count == 0:
-                continue
-            picked = _draw_from_pool(remaining, weights, count, rng)
-            order[filled:filled + count] = ranked.order[picked]
-            tags[filled:filled + count] = tag
-            remaining[picked] = False
-            filled += count
-    return EpochPlan(order=order, batch_size=batch_size, batch_provenance=tags,
-                     strategy=which, seed=seed)
-
-
-def _draw_from_pool(remaining: np.ndarray, weights: np.ndarray, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """First ``count`` positions of an exponential race over the live pool."""
-    pool = np.flatnonzero(remaining)
-    w = weights[pool]
-    arrivals = np.full(len(pool), np.inf)
-    pos = w > 0
-    arrivals[pos] = rng.exponential(size=int(pos.sum())) / w[pos]
-    take = np.lexsort((pool, arrivals))[:count]
-    return pool[take]
+    # One race per law over rank positions, each consumed by a cursor that
+    # skips positions the other race already took. This is exact: given the
+    # history, every position left in a race has a key above that race's
+    # last taken key and no other constraint, so by memorylessness the
+    # residual keys are fresh Exp(w_i) and the next pick follows
+    # w_i / sum of remaining w, zero weights last and ties by position.
+    # At N = 1 the complement law is all zero: its race is the one position.
+    positions = np.arange(N)
+    square = weighted_permutation(positions, rank_weights(N, "square"), rng)
+    complement = (weighted_permutation(positions, rank_weights(N, "complement_square"), rng)
+                  if N > 1 else positions)
+    races = {"B1": iter(square.tolist()), "B2": iter(complement.tolist())}
+    used = [False] * N
+    picks = []
+    for tag in tags:
+        for pos in races[tag]:  # never runs dry: every unused position is still ahead
+            if not used[pos]:
+                break
+        used[pos] = True
+        picks.append(pos)
+    return EpochPlan(order=ranked.order[picks], batch_size=batch_size,
+                     batch_provenance=np.array(tags, dtype="<U5"), strategy=which, seed=seed)
 
 
 def baseline_plan(dataset: Dataset, which: Strategy, rng: np.random.Generator | None = None,

@@ -80,6 +80,24 @@ def test_plan_dumps_schedule(tmp_path, splits):
     assert sorted(per_epoch) == list(range(120))
 
 
+def test_plan_epochs_come_from_flag_then_config_file_then_1(tmp_path, splits):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train.epochs": 3}))
+
+    def plan_epochs(name, *flags):
+        out = tmp_path / name
+        assert main(["plan", "--dataset", splits["train"], "--strategy", "Random",
+                     "--seed", "7", *flags, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["resolved_config"]["train.epochs"] == len(records) // 120
+        return sorted({r["epoch"] for r in records})
+
+    assert plan_epochs("file.jsonl", "--config", str(config)) == [0, 1, 2]
+    assert plan_epochs("flag.jsonl", "--config", str(config), "--epochs", "2") == [0, 1]
+    assert plan_epochs("none.jsonl") == [0]
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -353,6 +371,27 @@ def test_config_schema_violations_reported_per_field(tmp_path, splits, capsys):
     err = capsys.readouterr().err
     assert "train.epochs" in err
     assert "unknown.key" in err
+
+
+def test_config_null_only_for_keys_unset_by_default(tmp_path, splits, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train.epochs": None, "model.dim": None,
+                                  "train.max_tokens": None, "optimizer.lr": None,
+                                  "scores.path": None}))
+    rc = main(["train", *split_flags(splits), "--strategy", "Random",
+               "--config", str(config), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config schema violations: train.epochs: expected int, got null; " \
+           "model.dim: expected int, got null" in err
+    assert "max_tokens" not in err and "optimizer.lr" not in err and "scores.path" not in err
+    assert "Traceback" not in err
+
+    config.write_text(json.dumps({"train.max_tokens": None, "optimizer.lr": None,
+                                  "scores.path": None}))
+    assert main(["train", *split_flags(splits), "--strategy", "Random", "--seed", "66",
+                 "--epochs", "1", "--dim", DIM, "--config", str(config),
+                 "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_seed_flag_overrides_default_seed_list(tmp_path, splits):

@@ -31,21 +31,21 @@ def test_strategy_parse_rejects_unknown():
 
 
 def test_square_law_n3():
-    rw = rank_weights(3, "square")
-    assert rw.raw.tolist() == [1.0, 4.0, 9.0]
-    assert rw.total == 14.0
-    assert rw.probabilities() == pytest.approx([1 / 14, 4 / 14, 9 / 14])
+    w = rank_weights(3, "square")
+    assert w.tolist() == [1.0, 4.0, 9.0]
+    assert w.sum() == 14.0
+    assert w / w.sum() == pytest.approx([1 / 14, 4 / 14, 9 / 14])
 
 
 def test_complement_law_n3():
-    rw = rank_weights(3, "complement_square")
-    assert rw.raw.tolist() == [4.0, 1.0, 0.0]
+    w = rank_weights(3, "complement_square")
+    assert w.tolist() == [4.0, 1.0, 0.0]
 
 
 def test_square_law_degenerate_n1():
-    rw = rank_weights(1, "square")
-    assert rw.raw.tolist() == [1.0]
-    assert rw.probabilities() == pytest.approx([1.0])
+    w = rank_weights(1, "square")
+    assert w.tolist() == [1.0]
+    assert w / w.sum() == pytest.approx([1.0])
 
 
 def test_rank_weights_rejects_n0():
@@ -129,7 +129,7 @@ def test_weighted_permutation_matches_exact_multinomial_oracle():
 
 def test_square_law_first_draw_is_easiest_with_prob_9_14():
     # ids sorted ascending by difficulty score: id 2 holds rank 3, weight 9
-    weights = rank_weights(3, "square").raw
+    weights = rank_weights(3, "square")
     trials = 100_000
     hits = sum(weighted_permutation([0, 1, 2], weights,
                                     np.random.default_rng(t))[0] == 2
@@ -255,19 +255,26 @@ def test_pme_first_b1_draw_favors_the_easy_tail():
     assert abs(at_least_rank6 / trials - 330 / 385) < 0.01
 
 
-def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration():
+@pytest.mark.parametrize("N, batch_size, split, laws", [
     # N=6 -> one ragged batch drawn as 4 square-law then 2 complement-law picks
-    N, trials = 6, 100_000
+    (6, 16, (9, 7), "111122"),
+    # N=5 in batches of 2 split 1:1 -> B1 B2 B1 B2 B1, so each race's cursor
+    # has to skip positions the other race took in earlier batches
+    (5, 2, (1, 1), "12121"),
+], ids=["N6-ragged", "N5-batches"])
+def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration(N, batch_size,
+                                                                        split, laws):
+    trials = 100_000
     _, table = dataset_from_scores(np.linspace(0, 1, N))
     ranked = rank_examples(table, "ascending")
-    w1 = rank_weights(N, "square").raw
-    w2 = rank_weights(N, "complement_square").raw
+    w1 = rank_weights(N, "square")
+    w2 = rank_weights(N, "complement_square")
 
     def oracle(seq):
         remaining = set(range(N))
         prob = 1.0
         for k, item in enumerate(seq):
-            w = w1 if k < 4 else w2
+            w = w1 if laws[k] == "1" else w2
             total = sum(w[j] for j in remaining)
             if total > 0:
                 if w[item] == 0:
@@ -283,9 +290,11 @@ def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration():
 
     counts = {}
     for t in range(trials):
-        plan = partitioned_plan(ranked, Strategy.PME, np.random.default_rng(t))
+        plan = partitioned_plan(ranked, Strategy.PME, np.random.default_rng(t),
+                                batch_size=batch_size, split=split)
         key = tuple(int(i) for i in plan.order)
         counts[key] = counts.get(key, 0) + 1
+    assert "".join(tag[1] for tag in plan.batch_provenance) == laws  # the oracle's laws
 
     for seq, p in expected.items():
         emp = counts.get(seq, 0) / trials
@@ -293,6 +302,25 @@ def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration():
             assert emp == 0.0  # impossible under the zero-weight rule
         else:
             assert abs(emp - p) < 5.5 * math.sqrt(p * (1 - p) / trials) + 1e-4
+
+
+def test_b2_race_alone_at_n1_gives_the_one_id():
+    _, table = dataset_from_scores([0.5])
+    plan = partitioned_plan(rank_examples(table, "ascending"), Strategy.PME,
+                            np.random.default_rng(0), split=(0, 16))
+    assert plan.order.tolist() == [0]
+    assert plan.batch_provenance.tolist() == ["B2"]
+
+
+def test_b2_race_at_n2_puts_the_zero_weight_rank_last():
+    # ascending ranking: id 0 holds rank 1 (weight 1), id 1 rank 2 (weight 0)
+    _, table = dataset_from_scores([0.1, 0.9])
+    ranked = rank_examples(table, "ascending")
+    for seed in range(20):
+        plan = partitioned_plan(ranked, Strategy.PME, np.random.default_rng(seed),
+                                batch_size=2, split=(0, 2))
+        assert plan.order.tolist() == [0, 1]
+        assert plan.batch_provenance.tolist() == ["B2", "B2"]
 
 
 def test_pmd_equals_pme_on_negated_scores():
