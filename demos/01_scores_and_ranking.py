@@ -10,7 +10,7 @@ import numpy as np
 from curlearn import (ClassDistribution, difficulty_score, normalize_restricted,
                       rank_examples, score_dataset, score_histogram)
 from curlearn.synthetic import make_noisy_corpus
-from curlearn.toy_model import build_probe_scorer
+from curlearn.toy_model import FeatureMatrix, build_probe_scorer, probabilities
 
 # A distribution that is all but decided is easy...
 print("margin of [0.95, 0.05]      ->", difficulty_score(ClassDistribution([0.95, 0.05])))
@@ -25,10 +25,12 @@ print("normalize_restricted([3,1]) ->", dist.probs, "margin", difficulty_score(d
 
 # Score a whole corpus with a quick throwaway probe model. The probe stands
 # in for pre-trained confidence; external score files are the faithful path.
+# The corpus is hashed once; the probe trains on half of its rows, and one
+# batch pass over all of them gives every example's class probabilities.
 corpus = make_noisy_corpus(400, noise=0.1, seed=0)
-provider = build_probe_scorer(corpus, probe_fraction=0.5, probe_epochs=4,
-                              seed=0, dim=2 ** 12)
-table = score_dataset(provider, corpus)
+feats = FeatureMatrix.build(corpus, dim=2 ** 12)
+probe = build_probe_scorer(corpus, feats, probe_fraction=0.5, probe_epochs=4, seed=0)
+table = score_dataset(probabilities(feats.logits(probe)), corpus)
 print(f"\nscored {len(table)} examples; "
       f"mean {table.scores.mean():.3f}, min {table.scores.min():.3f}, "
       f"max {table.scores.max():.3f}")

@@ -4,16 +4,16 @@ import numpy as np
 
 from curlearn import Strategy, few_shot_select, score_dataset
 from curlearn.synthetic import make_noisy_corpus
-from curlearn.toy_model import build_probe_scorer
+from curlearn.toy_model import FeatureMatrix, build_probe_scorer, probabilities
 from curlearn.trainer import TrainConfig, run_training
 
 train = make_noisy_corpus(1000, noise=0.1, seed=5, split_tag="train")
 val = make_noisy_corpus(200, noise=0.1, seed=6, split_tag="validation")
 test = make_noisy_corpus(200, noise=0.1, seed=7, split_tag="test")
 
-provider = build_probe_scorer(train, probe_fraction=0.1, probe_epochs=1,
-                              seed=0, dim=2 ** 14)
-table = score_dataset(provider, train)
+feats = FeatureMatrix.build(train, dim=2 ** 14)
+probe = build_probe_scorer(train, feats, probe_fraction=0.1, probe_epochs=1, seed=0)
+table = score_dataset(probabilities(feats.logits(probe)), train)
 
 print("mean difficulty score of each 64-example selection:")
 subsets = {}

@@ -356,8 +356,8 @@ def run_grid(cells, jobs: int, out_dir: Path, prefix: str = "") -> tuple[dict, b
 
 
 def _prepare_grid(args, strategies, few_shot: bool = False):
-    """Settings, config, the three splits, the output directory and the one
-    score table every cell shares (None when no cell needs scores)."""
+    """Settings, config, the three splits, the output directory, their FeatureMatrix
+    and the one score table every cell shares (None when no cell needs scores)."""
     settings = resolve_settings(args)
     config = train_config(settings)
     splits = (_load_split(args.train, settings, "train"),
@@ -367,10 +367,11 @@ def _prepare_grid(args, strategies, few_shot: bool = False):
     if few_shot and k > len(splits[0]):
         raise ValueError(f"k={k} exceeds training set size {len(splits[0])}")
     out_dir = _check_out_dir(args.out, args.force)
+    features = featurize_splits(splits, config)
     table = None
     if any(s.needs_scores for s in strategies) or config.rescore:
-        table = resolve_score_table(splits[0], config)
-    return settings, config, splits, out_dir, table
+        table = resolve_score_table(splits[0], config, features[0])
+    return settings, config, splits, out_dir, features, table
 
 
 def _finish_grid(args, settings, failed: bool) -> int:
@@ -423,18 +424,17 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings, config, splits, out_dir, table = _prepare_grid(
+    settings, config, splits, out_dir, features, table = _prepare_grid(
         args, [Strategy.parse(args.strategy)])
-    features = featurize_splits(splits, config)
     cells = [Cell(config, seed, splits, table, features) for seed in config.seeds]
     _, failed = run_grid(cells, 1, out_dir)
     return _finish_grid(args, settings, failed)
 
 
 def cmd_fewshot(args) -> int:
-    settings, config, (train_ds, val_ds, test_ds), out_dir, table = _prepare_grid(
+    settings, config, (train_ds, val_ds, test_ds), out_dir, features, table = _prepare_grid(
         args, [Strategy.parse(args.strategy)], few_shot=True)
-    feats_val_test = featurize_splits((val_ds, test_ds), config)
+    row_of = {int(i): r for r, i in enumerate(train_ds.ids)}
     cells = []
     for seed in config.seeds:
         rng = np.random.default_rng((seed, FEWSHOT_STREAM))
@@ -443,7 +443,8 @@ def cmd_fewshot(args) -> int:
                                  max_tokens=config.max_tokens)
         cells.append(Cell(config, seed, (subset, val_ds, test_ds),
                           table.restrict(subset.ids) if table is not None else None,
-                          featurize_splits((subset,), config) + feats_val_test))
+                          (features[0].take([row_of[int(i)] for i in subset.ids]),
+                           *features[1:])))
     _, failed = run_grid(cells, 1, out_dir, prefix="fewshot_")
     return _finish_grid(args, settings, failed)
 
@@ -475,8 +476,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     strategies = [Strategy.parse(s) for s in args.strategies]
-    settings, config, splits, out_dir, table = _prepare_grid(args, strategies)
-    features = featurize_splits(splits, config)
+    settings, config, splits, out_dir, features, table = _prepare_grid(args, strategies)
     cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits, table,
                   features)
              for strategy in strategies for seed in config.seeds]

@@ -4,6 +4,9 @@ The difficulty score of an example is the margin between its two highest
 class probabilities: 0 means the model is maximally uncertain (hardest),
 1 means fully confident (easiest). The binary case is just the two-class
 instance of the same margin, so one code path serves every C >= 2.
+
+Probabilities arrive as one (N, C) matrix per dataset, from a score file
+(``score_table_from_probs``) or from a frozen model (``score_dataset``).
 """
 
 from __future__ import annotations
@@ -48,14 +51,11 @@ def normalize_restricted(raw) -> ClassDistribution:
 def difficulty_score(dist) -> float:
     """Margin between the top two class probabilities, in [0, 1]."""
     probs = dist.probs if isinstance(dist, ClassDistribution) else np.asarray(dist, float)
-    if probs.size < 2:
-        raise ValueError("difficulty score needs at least two classes")
-    top2 = np.partition(probs, -2)[-2:]
-    return float(top2[1] - top2[0])
+    return float(margins_from_matrix(probs.reshape(1, -1))[0])
 
 
 def margins_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Vectorized difficulty_score over an (N, C) probability matrix."""
+    """difficulty_score of each row of an (N, C) probability matrix."""
     if matrix.shape[1] < 2:
         raise ValueError("difficulty score needs at least two classes")
     top2 = np.partition(matrix, matrix.shape[1] - 2, axis=1)[:, -2:]
@@ -111,26 +111,26 @@ def score_table_from_probs(matrix: np.ndarray, ids, source: str) -> ScoreTable:
                       distributions=matrix, source=source)
 
 
-def score_dataset(provider, dataset, source: str = "probe_model") -> ScoreTable:
-    """Score every example with a probability provider; no state updates.
+def score_dataset(probs, dataset, source: str = "probe_model") -> ScoreTable:
+    """Score every example from its row of an (N, C) probability matrix.
 
-    ``provider`` is any callable mapping an Example to a ClassDistribution.
-    Results are laid down in dataset order regardless of how the provider
-    might be scheduled internally.
+    Row k belongs to the dataset's k-th example, e.g. the rows of a frozen
+    model's ``toy_model.probabilities(feats.logits(model))``. Each row must
+    be finite, non-negative and sum to 1 within ``_SUM_TOL``; the first row
+    that is not is reported with its example id.
     """
-    rows = np.empty((len(dataset), dataset.class_count), dtype=np.float64)
-    for k, ex in enumerate(dataset.examples):
-        try:
-            dist = provider(ex)
-        except Exception as err:
-            raise RuntimeError(f"probability provider failed for id {ex.id}: {err}") from err
-        probs = dist.probs if isinstance(dist, ClassDistribution) else np.asarray(dist, float)
-        if probs.shape != (dataset.class_count,):
-            raise ValueError(f"provider returned {probs.shape} probabilities for id {ex.id}, "
-                             f"expected ({dataset.class_count},)")
-        rows[k] = probs
-    return ScoreTable(ids=dataset.ids, scores=margins_from_matrix(rows),
-                      distributions=rows, source=source)
+    probs = np.asarray(probs, dtype=np.float64)
+    expected = (len(dataset), dataset.class_count)
+    if probs.shape != expected:
+        raise ValueError(f"probability matrix has shape {probs.shape}, expected {expected}")
+    valid = (np.all(np.isfinite(probs) & (probs >= 0), axis=1)
+             & (np.abs(probs.sum(axis=1) - 1.0) <= _SUM_TOL))
+    if not valid.all():
+        k = int(np.argmin(valid))
+        raise ValueError(f"probabilities {probs[k].tolist()} for id {dataset.examples[k].id} "
+                         "are not a distribution (finite, non-negative, summing to 1)")
+    return ScoreTable(ids=dataset.ids, scores=margins_from_matrix(probs),
+                      distributions=probs, source=source)
 
 
 @dataclass
@@ -182,14 +182,6 @@ class HistogramReport:
     @property
     def total_counts(self) -> np.ndarray:
         return self.counts_correct + self.counts_incorrect
-
-    def error_rates(self):
-        """(bin_index, error_rate) over non-empty bins; needs a correctness split."""
-        if not self.split_by_correctness:
-            raise ValueError("histogram was built without predictions")
-        totals = self.total_counts
-        nonempty = np.flatnonzero(totals > 0)
-        return nonempty, self.counts_incorrect[nonempty] / totals[nonempty]
 
 
 def score_histogram(table: ScoreTable, predictions=None, labels=None,

@@ -8,18 +8,22 @@ stand-in; faithful difficulty scores come from external score files.
 Feature hashing uses blake2b (8-byte digest), which is fixed and seedless,
 so feature ids are stable across processes and platforms. Tokens from the
 first text are namespaced "p:", tokens from the pair text "h:".
+
+A split is hashed once into a CSR ``FeatureMatrix``. Training batches,
+evaluation and probe scoring all take rows of such a matrix, and its
+``logits`` method is the one place logits are computed.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset_io import Dataset, Example, open_atomic, tokenize
-from .scoring import ClassDistribution
+from .dataset_io import Dataset, Example, open_atomic, stratified_split, tokenize
 
 
 def _hash_token(token: str) -> int:
@@ -78,27 +82,77 @@ class LinearModel:
         return LinearModel(weights=self.weights.copy(), bias=self.bias.copy())
 
 
-def forward(model: LinearModel, features: FeatureVector) -> np.ndarray:
-    """Logits for one sparse input: bias + sum over active columns."""
-    if len(features) and int(features.indices[-1]) >= model.dim:
-        raise IndexError(f"feature index {int(features.indices[-1])} >= dim {model.dim}")
-    return model.bias + model.weights[:, features.indices] @ features.values
+# FeatureMatrix.logits works through this many rows at a time, so its
+# temporaries hold one block's entries instead of the whole matrix's.
+LOGITS_BLOCK_ROWS = 1024
 
 
-def softmax(logits) -> ClassDistribution:
-    """Max-subtracted softmax; safe for arbitrarily large finite logits."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax needs finite logits")
-    e = np.exp(z - z.max())
-    return ClassDistribution(e / e.sum())
+@dataclass
+class FeatureMatrix:
+    """Featurized examples as a compressed sparse row (CSR) matrix.
+
+    Row r holds the strictly increasing feature ids
+    ``flat_indices[indptr[r]:indptr[r + 1]]`` and their counts in the same
+    slice of ``flat_values``. ``logits`` is the one place logits are computed.
+    """
+
+    indptr: np.ndarray        # (rows + 1,) offsets into the flat arrays
+    flat_indices: np.ndarray  # feature ids in [0, dim)
+    flat_values: np.ndarray   # matching positive counts
+    dim: int
+    max_tokens: int | None
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @classmethod
+    def build(cls, dataset: Dataset, dim: int, max_tokens: int | None = None):
+        # appended in place and then wrapped without a copy, so no example's
+        # vector outlives its row and the flat arrays exist once
+        indptr, indices, values = array("q", [0]), array("q"), array("d")
+        for ex in dataset.examples:
+            fv = featurize(ex, dim, max_tokens)
+            indices.frombytes(fv.indices.tobytes())
+            values.frombytes(fv.values.tobytes())
+            indptr.append(len(indices))
+        return cls(indptr=np.frombuffer(indptr, dtype=np.int64),
+                   flat_indices=np.frombuffer(indices, dtype=np.int64),
+                   flat_values=np.frombuffer(values, dtype=np.float64),
+                   dim=dim, max_tokens=max_tokens)
+
+    def take(self, rows) -> "FeatureMatrix":
+        """The given rows, in the given order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return replace(self, indptr=indptr, flat_indices=self.flat_indices[entries],
+                       flat_values=self.flat_values[entries])
+
+    def logits(self, model: LinearModel) -> np.ndarray:
+        """(rows, C) logits: bias plus each row's features summed in column order."""
+        if model.dim != self.dim:
+            raise ValueError(f"model dim {model.dim} != feature dim {self.dim}")
+        out = np.empty((self.n_rows, model.class_count), dtype=np.float64)
+        for lo in range(0, self.n_rows, LOGITS_BLOCK_ROWS):
+            hi = min(lo + LOGITS_BLOCK_ROWS, self.n_rows)
+            first, last = self.indptr[lo], self.indptr[hi]
+            row_of_entry = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+            idx, vals = self.flat_indices[first:last], self.flat_values[first:last]
+            for c in range(model.class_count):
+                out[lo:hi, c] = np.bincount(row_of_entry, weights=model.weights[c, idx] * vals,
+                                            minlength=hi - lo)
+        out += model.bias
+        return out
 
 
-def predict(model: LinearModel, example: Example,
-            max_tokens: int | None = None) -> tuple[int, ClassDistribution]:
-    """Argmax label (ties to the lowest class index) and its distribution."""
-    dist = softmax(forward(model, featurize(example, model.dim, max_tokens)))
-    return int(np.argmax(dist.probs)), dist
+def probabilities(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, max-subtracted so large finite logits cannot overflow."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass
@@ -110,36 +164,32 @@ class SparseGrads:
     bias: np.ndarray         # (C,)
 
 
-def loss_and_grad(model: LinearModel, batch) -> tuple[float, SparseGrads]:
-    """Mean cross-entropy over a batch of (FeatureVector, label) pairs.
+def loss_and_grad(model: LinearModel, batch: FeatureMatrix,
+                  labels) -> tuple[float, SparseGrads]:
+    """Mean cross-entropy over the rows of ``batch`` and their ``labels``.
 
-    The logit gradient is (p - onehot)/|batch|, pushed onto the sparse
-    active columns and the bias.
+    The logit gradient is (p - onehot)/rows, pushed onto the touched columns
+    and the bias. Each column and the bias add their rows' terms in row
+    order, starting from zero, as a loop over the rows would.
     """
-    if not batch:
+    n = batch.n_rows
+    if n == 0:
         raise ValueError("empty batch")
-    C = model.class_count
-    inv = 1.0 / len(batch)
-    cols = np.unique(np.concatenate([fv.indices for fv, _ in batch])
-                     if any(len(fv) for fv, _ in batch) else np.empty(0, dtype=np.int64))
-    col_pos = {int(c): k for k, c in enumerate(cols)}
-    gw = np.zeros((C, len(cols)), dtype=np.float64)
-    gb = np.zeros(C, dtype=np.float64)
-    loss = 0.0
-    for fv, label in batch:
-        z = forward(model, fv)
-        z = z - z.max()
-        e = np.exp(z)
-        p = e / e.sum()
-        loss -= float(np.log(max(p[label], 1e-300)))
-        delta = p.copy()
-        delta[label] -= 1.0
-        delta *= inv
-        gb += delta
-        if len(fv):
-            pos = [col_pos[int(c)] for c in fv.indices]
-            gw[:, pos] += np.outer(delta, fv.values)
-    return loss * inv, SparseGrads(cols=cols, weight_vals=gw, bias=gb)
+    inv = 1.0 / n
+    rows = np.arange(n)
+    delta = probabilities(batch.logits(model))
+    loss = -float(np.log(np.maximum(delta[rows, labels], 1e-300)).sum()) * inv
+    delta[rows, labels] -= 1.0
+    delta *= inv
+    cols, at = np.unique(batch.flat_indices, return_inverse=True)
+    row_of_entry = np.repeat(rows, np.diff(batch.indptr))
+    gw = np.empty((model.class_count, len(cols)), dtype=np.float64)
+    for c in range(model.class_count):
+        gw[c] = np.bincount(at, weights=delta[row_of_entry, c] * batch.flat_values,
+                            minlength=len(cols))
+    # numpy sums along a non-contiguous axis one row after another
+    gb = delta.sum(axis=0, initial=0.0)
+    return loss, SparseGrads(cols=cols, weight_vals=gw, bias=gb)
 
 
 @dataclass
@@ -280,63 +330,21 @@ def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState
     return model, state
 
 
-@dataclass
-class FeatureMatrix:
-    """A featurized dataset flattened for vectorized batch evaluation."""
+def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: float = 0.1,
+                       probe_epochs: int = 1, seed: int = 0, kind: str = "adamw",
+                       base_lr: float | None = None, batch_size: int = 16) -> LinearModel:
+    """Train a throwaway classifier on a stratified slice and return it frozen.
 
-    vectors: list[FeatureVector]
-    flat_indices: np.ndarray
-    flat_values: np.ndarray
-    row_ids: np.ndarray
-    n_rows: int
-    dim: int
-    max_tokens: int | None
-
-    @classmethod
-    def build(cls, dataset: Dataset, dim: int, max_tokens: int | None = None):
-        vectors = [featurize(ex, dim, max_tokens) for ex in dataset.examples]
-        nnz = [len(v) for v in vectors]
-        if sum(nnz) == 0:
-            flat_idx = np.empty(0, dtype=np.int64)
-            flat_val = np.empty(0, dtype=np.float64)
-        else:
-            flat_idx = np.concatenate([v.indices for v in vectors if len(v)])
-            flat_val = np.concatenate([v.values for v in vectors if len(v)])
-        row_ids = np.repeat(np.arange(len(vectors)), nnz)
-        return cls(vectors=vectors, flat_indices=flat_idx, flat_values=flat_val,
-                   row_ids=row_ids, n_rows=len(vectors), dim=dim, max_tokens=max_tokens)
-
-    def logits(self, model: LinearModel) -> np.ndarray:
-        out = np.empty((self.n_rows, model.class_count), dtype=np.float64)
-        for c in range(model.class_count):
-            contrib = model.weights[c, self.flat_indices] * self.flat_values
-            out[:, c] = np.bincount(self.row_ids, weights=contrib, minlength=self.n_rows)
-        out += model.bias
-        return out
-
-
-def probabilities(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for a logits matrix."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def build_probe_scorer(dataset: Dataset, probe_fraction: float = 0.1,
-                       probe_epochs: int = 1, seed: int = 0, dim: int = 2 ** 16,
-                       kind: str = "adamw", base_lr: float | None = None,
-                       batch_size: int = 16, max_tokens: int | None = None):
-    """Train a throwaway classifier on a stratified slice and freeze it.
-
-    The returned callable maps an Example to a ClassDistribution and never
-    updates its parameters, so it can stand in for pre-trained confidence
-    when no external score file is available. With probe_epochs=0 the model
-    stays all-zero and every score is exactly 0.
+    ``feats`` is the dataset's FeatureMatrix; the probe trains on the slice's
+    rows of it, and its ``logits`` then score every example, so the model can
+    stand in for pre-trained confidence when no external score file is
+    available. With probe_epochs=0 the model stays all-zero and every score
+    is exactly 0.
     """
-    from .dataset_io import stratified_split
-
     if not 0 < probe_fraction <= 1:
         raise ValueError("probe_fraction must be in (0, 1]")
+    if feats.n_rows != len(dataset):
+        raise ValueError(f"features have {feats.n_rows} rows, dataset has {len(dataset)}")
     if probe_fraction < 1:
         probe = stratified_split(dataset, [probe_fraction, 1 - probe_fraction],
                                  seed=seed, tags=("train", "train"))[0]
@@ -348,10 +356,12 @@ def build_probe_scorer(dataset: Dataset, probe_fraction: float = 0.1,
         raise ValueError(f"probe subset smaller than one example per class "
                          f"(classes {sorted(present - got)} absent)")
 
-    model = LinearModel.zeros(dataset.class_count, dim)
+    model = LinearModel.zeros(dataset.class_count, feats.dim)
     if probe_epochs > 0:
-        feats = FeatureMatrix.build(probe, dim, max_tokens)
-        labels = probe.labels
+        ids = dataset.ids
+        by_id = np.argsort(ids, kind="stable")
+        probe_rows = by_id[np.searchsorted(ids, probe.ids, sorter=by_id)]
+        labels = dataset.labels
         steps_per_epoch = max(1, -(-len(probe) // batch_size))
         state = OptimizerState.for_model(model, kind=kind, base_lr=base_lr,
                                          total_steps=probe_epochs * steps_per_epoch)
@@ -359,16 +369,10 @@ def build_probe_scorer(dataset: Dataset, probe_fraction: float = 0.1,
         for _ in range(probe_epochs):
             order = rng.permutation(len(probe))
             for start in range(0, len(probe), batch_size):
-                rows = order[start:start + batch_size]
-                batch = [(feats.vectors[r], int(labels[r])) for r in rows]
-                _, grads = loss_and_grad(model, batch)
+                rows = probe_rows[order[start:start + batch_size]]
+                _, grads = loss_and_grad(model, feats.take(rows), labels[rows])
                 optimizer_step(model, grads, state)
-
-    def provider(example: Example) -> ClassDistribution:
-        return softmax(forward(model, featurize(example, dim, max_tokens)))
-
-    provider.model = model  # frozen; exposed for analysis
-    return provider
+    return model
 
 
 CHECKPOINT_VERSION = 1

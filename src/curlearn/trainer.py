@@ -21,8 +21,7 @@ import numpy as np
 from .dataset_io import Dataset, load_external_scores, open_atomic, token_lengths
 from .samplers import (DEFAULT_BATCH_SIZE, DEFAULT_PARTITION_SPLIT, Strategy,
                        make_plan)
-from .scoring import (HistogramReport, ScoreTable, margins_from_matrix,
-                      score_dataset, score_histogram)
+from .scoring import HistogramReport, ScoreTable, score_dataset, score_histogram
 from .toy_model import (FeatureMatrix, LinearModel, OptimizerState,
                         build_probe_scorer, loss_and_grad, optimizer_step,
                         probabilities)
@@ -247,20 +246,25 @@ class TrainOutcome:
     epoch_snapshots: list[LinearModel] = field(default_factory=list)
 
 
-def _probe_provider(train_ds: Dataset, config: TrainConfig):
-    return build_probe_scorer(
-        train_ds, probe_fraction=config.probe_fraction, probe_epochs=config.probe_epochs,
-        seed=config.probe_seed, dim=config.dim, kind=config.optimizer,
-        base_lr=config.learning_rate, batch_size=config.batch_size,
-        max_tokens=config.max_tokens)
+def resolve_score_table(train_ds: Dataset, config: TrainConfig,
+                        feats: FeatureMatrix | None = None,
+                        score_on: tuple[Dataset, FeatureMatrix] | None = None) -> ScoreTable:
+    """External score file when configured, probe model otherwise.
 
-
-def resolve_score_table(train_ds: Dataset, config: TrainConfig) -> ScoreTable:
-    """External score file when configured, probe model otherwise."""
+    ``feats`` is the training split's FeatureMatrix (built here when
+    omitted). The probe trains on it and scores the training split, or the
+    (dataset, FeatureMatrix) pair ``score_on`` when given.
+    """
     if config.scores_path:
         return load_external_scores(config.scores_path, train_ds)
-    provider = _probe_provider(train_ds, config)
-    return score_dataset(provider, train_ds, source="probe_model")
+    if feats is None:
+        feats = FeatureMatrix.build(train_ds, config.dim, config.max_tokens)
+    probe = build_probe_scorer(
+        train_ds, feats, probe_fraction=config.probe_fraction,
+        probe_epochs=config.probe_epochs, seed=config.probe_seed, kind=config.optimizer,
+        base_lr=config.learning_rate, batch_size=config.batch_size)
+    dataset, feats = score_on or (train_ds, feats)
+    return score_dataset(probabilities(feats.logits(probe)), dataset, source="probe_model")
 
 
 def featurize_splits(splits, config: TrainConfig) -> tuple[FeatureMatrix, ...]:
@@ -283,14 +287,6 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     """
     seed = config.seeds[0] if seed is None else int(seed)
     strategy = config.strategy
-    needs_table = strategy.needs_scores or config.rescore
-    if score_table is None and needs_table:
-        score_table = resolve_score_table(train_ds, config)
-    length_index = (token_lengths(train_ds, config.max_tokens)
-                    if strategy is Strategy.LENGTH else None)
-
-    N = len(train_ds)
-    model = LinearModel.zeros(train_ds.class_count, config.dim)
     splits = (train_ds, val_ds, test_ds)
     if features is None:
         features = featurize_splits(splits, config)
@@ -299,6 +295,13 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         raise ValueError("features do not match the train/val/test split sizes "
                          "or the config's dim and max_tokens")
     feats_train, feats_val, feats_test = features
+    if score_table is None and (strategy.needs_scores or config.rescore):
+        score_table = resolve_score_table(train_ds, config, feats_train)
+    length_index = (token_lengths(train_ds, config.max_tokens)
+                    if strategy is Strategy.LENGTH else None)
+
+    N = len(train_ds)
+    model = LinearModel.zeros(train_ds.class_count, config.dim)
     steps_per_epoch = math.ceil(N / config.batch_size)
     state = OptimizerState.for_model(
         model, kind=config.optimizer, base_lr=config.resolved_lr(),
@@ -320,8 +323,7 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         next_mark = 0
         for batch_no, batch_ids in enumerate(plan.batches()):
             rows = [row_of[int(i)] for i in batch_ids]
-            batch = [(feats_train.vectors[r], int(labels[r])) for r in rows]
-            loss, grads = loss_and_grad(model, batch)
+            loss, grads = loss_and_grad(model, feats_train.take(rows), labels[rows])
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} batch {batch_no} "
@@ -353,14 +355,14 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         if config.rescore_split == "train":
             rescore_ds, rescore_feats, initial = train_ds, feats_train, score_table
         else:
-            # validation rescoring needs a provider; an external file only
+            # validation rescoring needs the probe; an external file only
             # covers the training split
             if config.scores_path:
                 raise ValueError("rescore_split='validation' requires the probe "
                                  "provider, not an external score file")
             rescore_ds, rescore_feats = val_ds, feats_val
-            initial = score_dataset(_probe_provider(train_ds, config), val_ds,
-                                    source="probe_model")
+            initial = resolve_score_table(train_ds, config, feats_train,
+                                          score_on=(val_ds, feats_val))
         histograms = rescore_analysis(snapshots, rescore_ds, initial_table=initial,
                                       bins=config.histogram_bins, feats=rescore_feats)
     report = RunReport(
@@ -377,7 +379,7 @@ def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | No
                      feats: FeatureMatrix | None = None) -> list[HistogramReport]:
     """Score histograms per training epoch, split by prediction correctness.
 
-    Epoch 0 comes from ``initial_table`` (the pre-training provider's scores)
+    Epoch 0 comes from ``initial_table`` (the scores taken before training)
     when given; snapshot k produces the epoch-(k+1) report. ``feats`` is the
     dataset's prebuilt FeatureMatrix; it is built on first use when omitted.
     """
@@ -393,8 +395,7 @@ def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | No
         if feats is None:
             feats = FeatureMatrix.build(dataset, model.dim, max_tokens)
         probs = probabilities(feats.logits(model))
-        table = ScoreTable(ids=dataset.ids, scores=margins_from_matrix(probs),
-                           distributions=probs, source="trained_model")
+        table = score_dataset(probs, dataset, source="trained_model")
         preds = np.argmax(probs, axis=1)
         reports.append(score_histogram(table, preds, labels, bins=bins, epoch_tag=k + 1))
     return reports

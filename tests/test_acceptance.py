@@ -207,8 +207,8 @@ def test_c4_gradient_check(checked):
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(50):
-            model, batch = _random_instance(rng, dim=64)
-            worst = max(worst, finite_difference_check(model, batch))
+            model, batch, labels = _random_instance(rng, dim=64)
+            worst = max(worst, finite_difference_check(model, batch, labels))
         assert worst < 1e-4
         return f"50 instances, max relative gradient error {worst:.2e}"
 

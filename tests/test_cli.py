@@ -58,6 +58,22 @@ def test_score_probe_provider_contract(tmp_path, splits):
     assert all(0.0 <= r["score"] <= 1.0 for r in records)
 
 
+def test_score_probe_featurizes_each_example_once(tmp_path, splits, monkeypatch):
+    from curlearn import toy_model
+    calls = []
+    featurize = toy_model.featurize
+
+    def counting_featurize(example, *args, **kwargs):
+        calls.append(example.id)
+        return featurize(example, *args, **kwargs)
+
+    monkeypatch.setattr(toy_model, "featurize", counting_featurize)
+    rc = main(["score", "--dataset", splits["train"], "--dim", DIM, "--probe-epochs", "2",
+               "--out", str(tmp_path / "scores.jsonl")])
+    assert rc == 0
+    assert sorted(calls) == list(range(120))
+
+
 def test_score_missing_file_names_path(tmp_path, capsys):
     rc = main(["score", "--dataset", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "o.jsonl")])
@@ -330,8 +346,8 @@ def test_compare_featurizes_each_split_once(tmp_path, splits, monkeypatch):
                "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
                "--out", str(tmp_path / "cmp")])
     assert rc == 0
-    # the probe's training slice, then train/validation/test once for all 4 cells
-    assert sorted(builds) == ["test", "train", "train", "validation"]
+    # train/validation/test once for all 4 cells; the probe trains on train's rows
+    assert sorted(builds) == ["test", "train", "validation"]
 
 
 # ------------------------------------------------------------- configuration

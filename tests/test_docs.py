@@ -1,4 +1,5 @@
-"""The README's settings table and the demo scripts stay in step with the code."""
+"""The README's settings table, its Python examples and the demo scripts stay
+in step with the code."""
 
 import json
 import os
@@ -31,11 +32,23 @@ def test_readme_lists_every_config_key_with_its_flag_and_default():
         assert json.loads(default) == defaults[key], key
 
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo, tmp_path):
+def run_python(args, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+    result = subprocess.run([sys.executable, *args], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    run_python([str(ROOT / "demos" / demo)], tmp_path)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        run_python(["-c", block], tmp_path)

@@ -93,33 +93,39 @@ def test_class_distribution_invariants_enforced():
 
 
 def test_uniform_provider_scores_zero(tiny_dataset):
-    table = score_dataset(lambda ex: ClassDistribution([0.5, 0.5]), tiny_dataset)
+    table = score_dataset(np.full((5, 2), 0.5), tiny_dataset)
     assert table.scores == pytest.approx([0.0] * 5)
 
 
 def test_one_hot_provider_scores_one(tiny_dataset):
-    table = score_dataset(lambda ex: ClassDistribution([1.0, 0.0]), tiny_dataset)
+    table = score_dataset(np.tile([1.0, 0.0], (5, 1)), tiny_dataset)
     assert table.scores == pytest.approx([1.0] * 5)
 
 
 def test_external_provider_scores_match_hand_margins(tiny_dataset):
-    rows = {0: [0.9, 0.1], 1: [0.4, 0.6], 2: [0.5, 0.5], 3: [0.95, 0.05], 4: [0.3, 0.7]}
-    table = score_dataset(lambda ex: ClassDistribution(rows[ex.id]), tiny_dataset)
+    rows = [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5], [0.95, 0.05], [0.3, 0.7]]
+    table = score_dataset(rows, tiny_dataset)
     assert table.scores == pytest.approx([0.8, 0.2, 0.0, 0.9, 0.4])
+    assert table.ids.tolist() == tiny_dataset.ids.tolist()
 
 
-def test_provider_failure_names_the_id(tiny_dataset):
-    def flaky(ex):
-        if ex.id == 3:
-            raise RuntimeError("boom")
-        return ClassDistribution([0.5, 0.5])
+def test_bad_row_names_the_id(tiny_dataset):
+    # non-finite, negative, summing above 1, all zero
+    for bad_row in ([np.nan, 0.5], [np.inf, 0.0], [-0.1, 1.1], [0.5, 0.6], [0.0, 0.0]):
+        probs = np.full((5, 2), 0.5)
+        probs[3] = bad_row
+        with pytest.raises(ValueError, match="for id 3 "):
+            score_dataset(probs, tiny_dataset)
 
-    with pytest.raises(RuntimeError, match="id 3"):
-        score_dataset(flaky, tiny_dataset)
+
+@pytest.mark.parametrize("shape", [(4, 2), (5, 3), (10,)])
+def test_wrong_shape_probabilities_rejected(tiny_dataset, shape):
+    with pytest.raises(ValueError, match="shape"):
+        score_dataset(np.full(shape, 0.5), tiny_dataset)
 
 
 def test_score_table_recomputable_from_distributions(tiny_dataset):
-    table = score_dataset(lambda ex: ClassDistribution([0.7, 0.3]), tiny_dataset)
+    table = score_dataset(np.tile([0.7, 0.3], (5, 1)), tiny_dataset)
     from curlearn.scoring import margins_from_matrix
     assert table.scores == pytest.approx(margins_from_matrix(table.distributions))
 

@@ -6,10 +6,10 @@ import pytest
 from curlearn import toy_model
 from curlearn.dataset_io import Dataset, Example
 from curlearn.scoring import score_dataset
-from curlearn.toy_model import (FeatureVector, LinearModel, OptimizerState,
-                                build_probe_scorer, featurize, forward, load_model,
-                                loss_and_grad, optimizer_step, predict, save_model,
-                                softmax)
+from curlearn.toy_model import (FeatureMatrix, FeatureVector, LinearModel, OptimizerState,
+                                build_probe_scorer, featurize, load_model, loss_and_grad,
+                                optimizer_step, probabilities, save_model)
+from curlearn.trainer import compute_metrics, evaluate
 from curlearn.synthetic import make_separable_corpus
 
 DIM = 2 ** 10
@@ -55,21 +55,31 @@ def test_featurize_max_tokens_truncates():
     assert full.values.sum() == 4
 
 
+def csr(vectors, dim):
+    """A FeatureMatrix holding the given FeatureVectors as its rows."""
+    indptr = np.concatenate([[0], np.cumsum([len(v) for v in vectors])]).astype(np.int64)
+    return FeatureMatrix(
+        indptr=indptr,
+        flat_indices=np.concatenate([np.empty(0, np.int64)] + [v.indices for v in vectors]),
+        flat_values=np.concatenate([np.empty(0)] + [v.values for v in vectors]),
+        dim=dim, max_tokens=None)
+
+
 # ------------------------------------------------------------------ forward
 
 
 def test_forward_zero_model_gives_zero_logits():
     model = LinearModel.zeros(3, DIM)
-    fv = featurize(Example(id=0, text="x y z", label=0), DIM)
-    assert forward(model, fv).tolist() == [0.0, 0.0, 0.0]
+    feats = csr([featurize(Example(id=0, text="x y z", label=0), DIM)], DIM)
+    assert feats.logits(model).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_forward_single_feature():
     model = LinearModel.zeros(2, DIM)
-    fv = FeatureVector(indices=np.array([7]), values=np.array([3.0]))
+    feats = csr([FeatureVector(indices=np.array([7]), values=np.array([3.0]))], DIM)
     model.weights[0, 7] = 0.5
     model.bias[0] = 0.25
-    logits = forward(model, fv)
+    logits = feats.logits(model)[0]
     assert logits[0] == pytest.approx(0.5 * 3.0 + 0.25)
     assert logits[1] == 0.0
 
@@ -79,37 +89,59 @@ def test_forward_matches_dense_matmul_oracle():
     for _ in range(30):
         C, D = int(rng.integers(2, 6)), 64
         model = LinearModel(weights=rng.normal(size=(C, D)), bias=rng.normal(size=C))
-        k = int(rng.integers(0, 10))
-        idx = np.sort(rng.choice(D, size=k, replace=False)).astype(np.int64)
-        fv = FeatureVector(indices=idx, values=rng.integers(1, 4, size=k).astype(float))
-        dense = np.zeros(D)
-        dense[idx] = fv.values
-        assert forward(model, fv) == pytest.approx(model.weights @ dense + model.bias)
+        vectors, dense = [], np.zeros((int(rng.integers(1, 6)), D))
+        for row in dense:
+            k = int(rng.integers(0, 10))
+            idx = np.sort(rng.choice(D, size=k, replace=False)).astype(np.int64)
+            vectors.append(FeatureVector(indices=idx,
+                                         values=rng.integers(1, 4, size=k).astype(float)))
+            row[idx] = vectors[-1].values
+        assert csr(vectors, D).logits(model) == pytest.approx(dense @ model.weights.T
+                                                             + model.bias)
 
 
 def test_forward_rejects_out_of_range_index():
+    # a matrix hashed for a wider model holds ids past this model's columns
     model = LinearModel.zeros(2, 8)
-    fv = FeatureVector(indices=np.array([9]), values=np.array([1.0]))
-    with pytest.raises(IndexError):
-        forward(model, fv)
+    feats = csr([FeatureVector(indices=np.array([9]), values=np.array([1.0]))], 16)
+    with pytest.raises(ValueError, match="dim"):
+        feats.logits(model)
+
+
+def test_logits_blocks_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(6)
+    ds = Dataset(examples=[Example(id=i, text=" ".join(f"t{rng.integers(40)}" for _ in
+                                                      range(int(rng.integers(0, 6)))),
+                                   label=0) for i in range(23)], class_count=3)
+    model = LinearModel(weights=rng.normal(size=(3, DIM)), bias=rng.normal(size=3))
+    feats = FeatureMatrix.build(ds, DIM)
+    whole = feats.logits(model)
+    monkeypatch.setattr(toy_model, "LOGITS_BLOCK_ROWS", 4)
+    assert np.array_equal(feats.logits(model), whole)
+    rows = [5, 0, 5, 22]
+    assert np.array_equal(feats.take(rows).logits(model), whole[rows])
 
 
 # ------------------------------------------------------------------ softmax
 
 
+def softmax(logits):
+    return probabilities(np.asarray([logits], dtype=np.float64))[0]
+
+
 def test_softmax_symmetric():
-    assert softmax([0.0, 0.0]).probs == pytest.approx([0.5, 0.5])
+    assert softmax([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
 
 def test_softmax_large_logits_no_overflow():
-    probs = softmax([1000.0, 1000.0, 1000.0]).probs
+    probs = softmax([1000.0, 1000.0, 1000.0])
     assert probs == pytest.approx([1 / 3] * 3)
 
 
 def test_softmax_matches_high_precision_oracle():
     # frozen from a 60-digit arbitrary-precision computation
     want = [0.09003057317038046, 0.24472847105479765, 0.6652409557748219]
-    got = softmax([1.0, 2.0, 3.0]).probs
+    got = softmax([1.0, 2.0, 3.0])
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -118,20 +150,24 @@ def test_softmax_shift_invariance():
     for _ in range(50):
         z = rng.normal(size=4) * 10
         c = float(rng.normal() * 100)
-        assert np.max(np.abs(softmax(z + c).probs - softmax(z).probs)) < 1e-12
+        assert np.max(np.abs(softmax(z + c) - softmax(z))) < 1e-12
 
 
 def test_softmax_output_is_valid_distribution():
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        probs = softmax(rng.normal(size=5) * 50).probs
-        assert np.all(probs >= 0)
-        assert abs(probs.sum() - 1.0) < 1e-9
+    probs = probabilities(rng.normal(size=(100, 5)) * 50)
+    assert np.all(probs >= 0)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_softmax_rejects_non_finite():
-    with pytest.raises(ValueError):
-        softmax([np.inf, 0.0])
+    # an infinite logit gives a NaN row, which scoring refuses by example id
+    ds = Dataset(examples=[Example(id=0, text="a", label=0), Example(id=7, text="b", label=1)],
+                 class_count=2)
+    with np.errstate(invalid="ignore"):
+        probs = probabilities(np.array([[0.0, 1.0], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="id 7"):
+        score_dataset(probs, ds)
 
 
 # ------------------------------------------------------------ loss and grad
@@ -141,22 +177,23 @@ def _random_instance(rng, dim=64):
     C = int(rng.integers(2, 6))
     model = LinearModel(weights=rng.normal(size=(C, dim)) * 0.5,
                         bias=rng.normal(size=C) * 0.5)
-    batch = []
+    vectors, labels = [], []
     for _ in range(int(rng.integers(1, 9))):
         k = int(rng.integers(1, 8))
         idx = np.sort(rng.choice(dim, size=k, replace=False)).astype(np.int64)
         vals = rng.integers(1, 4, size=k).astype(float)
-        batch.append((FeatureVector(indices=idx, values=vals), int(rng.integers(C))))
-    return model, batch
+        vectors.append(FeatureVector(indices=idx, values=vals))
+        labels.append(int(rng.integers(C)))
+    return model, csr(vectors, dim), np.array(labels)
 
 
-def finite_difference_check(model, batch, eps=1e-5):
+def finite_difference_check(model, batch, labels, eps=1e-5):
     """Max relative error of the analytic gradient on touched coordinates."""
-    _, grads = loss_and_grad(model, batch)
+    _, grads = loss_and_grad(model, batch, labels)
     worst = 0.0
 
     def loss_at():
-        return loss_and_grad(model, batch)[0]
+        return loss_and_grad(model, batch, labels)[0]
 
     for c in range(model.class_count):
         for j, col in enumerate(grads.cols):
@@ -178,10 +215,63 @@ def finite_difference_check(model, batch, eps=1e-5):
     return worst
 
 
+def reference_loss_and_grad(model, batch, labels):
+    """The per-example loop loss_and_grad replaced, with its logits from
+    FeatureMatrix.logits; loss_and_grad must match it bit for bit."""
+    C, n = model.class_count, batch.n_rows
+    inv = 1.0 / n
+    cols = np.unique(batch.flat_indices)
+    col_pos = {int(c): k for k, c in enumerate(cols)}
+    gw = np.zeros((C, len(cols)))
+    gb = np.zeros(C)
+    for r in range(n):
+        z = batch.take([r]).logits(model)[0]
+        z = z - z.max()
+        e = np.exp(z)
+        delta = e / e.sum()
+        delta[labels[r]] -= 1.0
+        delta *= inv
+        gb += delta
+        lo, hi = batch.indptr[r], batch.indptr[r + 1]
+        if hi > lo:
+            pos = [col_pos[int(c)] for c in batch.flat_indices[lo:hi]]
+            gw[:, pos] += np.outer(delta, batch.flat_values[lo:hi])
+    return cols, gw, gb
+
+
+def test_gradient_matches_per_example_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        C, D = int(rng.integers(2, 6)), int(rng.choice([8, 64, 1024]))
+        model = LinearModel(weights=rng.normal(size=(C, D)) * rng.choice([0.01, 1.0, 30.0]),
+                            bias=rng.normal(size=C))
+        # few columns, so rows share them; some rows empty
+        pool = int(rng.integers(1, D + 1))
+        vectors = []
+        for _ in range(int(rng.integers(1, 40))):
+            k = int(rng.integers(0, min(pool, 9) + 1))
+            idx = np.sort(rng.choice(pool, size=k, replace=False)).astype(np.int64)
+            vectors.append(FeatureVector(indices=idx,
+                                         values=rng.integers(1, 5, size=k).astype(float)))
+        vectors[0] = FeatureVector(indices=np.empty(0, np.int64), values=np.empty(0))
+        feats = csr(vectors, D)
+        rows = rng.integers(0, len(vectors), size=int(rng.integers(1, 33)))
+        rows[-1] = rows[0]  # a row repeated within the batch
+        if trial % 3 == 0:
+            rows[0] = 0  # an empty row
+        batch = feats.take(rows)
+        labels = rng.integers(0, C, size=len(rows))
+        _, grads = loss_and_grad(model, batch, labels)
+        cols, gw, gb = reference_loss_and_grad(model, batch, labels)
+        assert np.array_equal(grads.cols, cols)
+        assert np.array_equal(grads.weight_vals, gw)
+        assert np.array_equal(grads.bias, gb)
+
+
 def test_zero_model_binary_loss_is_ln2():
     model = LinearModel.zeros(2, DIM)
     fv = featurize(Example(id=0, text="hello world", label=0), DIM)
-    loss, _ = loss_and_grad(model, [(fv, 0), (fv, 1)])
+    loss, _ = loss_and_grad(model, csr([fv, fv], DIM), [0, 1])
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -189,20 +279,20 @@ def test_confident_correct_model_loss_near_zero():
     model = LinearModel.zeros(2, 8)
     model.weights[1, 3] = 50.0
     fv = FeatureVector(indices=np.array([3]), values=np.array([1.0]))
-    loss, _ = loss_and_grad(model, [(fv, 1)])
+    loss, _ = loss_and_grad(model, csr([fv], 8), [1])
     assert loss < 1e-8
 
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        model, batch = _random_instance(rng)
-        assert finite_difference_check(model, batch) < 1e-4
+        model, batch, labels = _random_instance(rng)
+        assert finite_difference_check(model, batch, labels) < 1e-4
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
-        loss_and_grad(LinearModel.zeros(2, 8), [])
+        loss_and_grad(LinearModel.zeros(2, 8), csr([], 8), [])
 
 
 # ---------------------------------------------------------------- optimizer
@@ -356,47 +446,53 @@ def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, tmp_path, 
 
 def test_predict_zero_model_ties_to_lowest_class():
     model = LinearModel.zeros(3, DIM)
-    label, dist = predict(model, Example(id=0, text="whatever", label=0))
-    assert label == 0
-    assert dist.probs == pytest.approx([1 / 3] * 3)
+    ds = Dataset(examples=[Example(id=i, text="whatever", label=i) for i in range(3)],
+                 class_count=3)
+    metrics, loss = evaluate(model, ds)
+    # every example predicted as class 0: only class 0 is ever recalled
+    assert [c.recall for c in metrics.per_class] == [1.0, 0.0, 0.0]
+    assert loss == pytest.approx(math.log(3))
 
 
 def test_predict_matches_argmax_oracle():
     rng = np.random.default_rng(4)
     model = LinearModel(weights=rng.normal(size=(4, DIM)), bias=rng.normal(size=4))
-    for i in range(100):
-        words = " ".join(f"t{rng.integers(50)}" for _ in range(5))
-        ex = Example(id=i, text=words, label=0)
-        label, dist = predict(model, ex)
-        logits = forward(model, featurize(ex, DIM))
-        assert label == int(np.argmax(logits))
-        assert dist.probs[label] == max(dist.probs)
+    examples = [Example(id=i, text=" ".join(f"t{rng.integers(50)}" for _ in range(5)),
+                        label=int(rng.integers(4))) for i in range(100)]
+    ds = Dataset(examples=examples, class_count=4)
+    oracle = []
+    for ex in examples:
+        fv = featurize(ex, DIM)
+        oracle.append(int(np.argmax(model.weights[:, fv.indices] @ fv.values + model.bias)))
+    metrics, _ = evaluate(model, ds)
+    assert metrics == compute_metrics(oracle, ds.labels, 4)
 
 
 # ----------------------------------------------------------------- probing
 
 
+def probe_scores(ds, **kwargs):
+    feats = FeatureMatrix.build(ds, DIM)
+    model = build_probe_scorer(ds, feats, **kwargs)
+    return score_dataset(probabilities(feats.logits(model)), ds)
+
+
 def test_probe_scores_are_non_degenerate_on_separable_data():
     ds = make_separable_corpus(80, seed=0)
-    provider = build_probe_scorer(ds, probe_fraction=0.5, probe_epochs=2,
-                                  seed=1, dim=DIM)
-    table = score_dataset(provider, ds)
+    table = probe_scores(ds, probe_fraction=0.5, probe_epochs=2, seed=1)
     assert float(np.var(table.scores)) > 0
 
 
 def test_probe_full_fraction_converges_on_separable_data():
     ds = make_separable_corpus(40, seed=1)
-    provider = build_probe_scorer(ds, probe_fraction=1.0, probe_epochs=50,
-                                  seed=1, dim=DIM, kind="sgd", base_lr=0.5)
-    table = score_dataset(provider, ds)
+    table = probe_scores(ds, probe_fraction=1.0, probe_epochs=50, seed=1, kind="sgd",
+                         base_lr=0.5)
     assert float(np.median(table.scores)) > 0.9
 
 
 def test_probe_zero_epochs_scores_exactly_zero():
     ds = make_separable_corpus(20, seed=2)
-    provider = build_probe_scorer(ds, probe_fraction=0.5, probe_epochs=0,
-                                  seed=0, dim=DIM)
-    table = score_dataset(provider, ds)
+    table = probe_scores(ds, probe_fraction=0.5, probe_epochs=0, seed=0)
     assert np.array_equal(table.scores, np.zeros(20))
 
 
@@ -406,19 +502,21 @@ def test_probe_rejects_subset_missing_a_class():
     examples += [Example(id=25 + i, text=f"v{i}", label=1) for i in range(3)]
     ds = Dataset(examples=examples, class_count=2)
     with pytest.raises(ValueError, match="one example per class"):
-        build_probe_scorer(ds, probe_fraction=0.1, probe_epochs=1, seed=0, dim=DIM)
+        build_probe_scorer(ds, FeatureMatrix.build(ds, DIM), probe_fraction=0.1,
+                           probe_epochs=1, seed=0)
 
 
 def test_probe_training_is_bit_deterministic():
     ds = make_separable_corpus(60, seed=3)
-    a = build_probe_scorer(ds, probe_fraction=0.5, probe_epochs=3, seed=9, dim=DIM)
-    b = build_probe_scorer(ds, probe_fraction=0.5, probe_epochs=3, seed=9, dim=DIM)
-    assert np.array_equal(a.model.weights, b.model.weights)
-    assert np.array_equal(a.model.bias, b.model.bias)
+    a = build_probe_scorer(ds, FeatureMatrix.build(ds, DIM), probe_fraction=0.5,
+                           probe_epochs=3, seed=9)
+    b = build_probe_scorer(ds, FeatureMatrix.build(ds, DIM), probe_fraction=0.5,
+                           probe_epochs=3, seed=9)
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.bias, b.bias)
 
 
 def test_epoch_loss_strictly_decreases_on_separable_data():
-    from curlearn.toy_model import FeatureMatrix
     ds = make_separable_corpus(200, seed=4)
     feats = FeatureMatrix.build(ds, 2 ** 16)
     labels = ds.labels
@@ -431,8 +529,7 @@ def test_epoch_loss_strictly_decreases_on_separable_data():
         losses = []
         for start in range(0, len(ds), 16):
             rows = order[start:start + 16]
-            batch = [(feats.vectors[r], int(labels[r])) for r in rows]
-            loss, grads = loss_and_grad(model, batch)
+            loss, grads = loss_and_grad(model, feats.take(rows), labels[rows])
             optimizer_step(model, grads, state)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
