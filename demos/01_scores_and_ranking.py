@@ -7,21 +7,24 @@ probabilities: 0 = the model cannot tell the classes apart (hardest),
 
 import numpy as np
 
-from curlearn import (ClassDistribution, difficulty_score, normalize_restricted,
-                      rank_examples, score_dataset, score_histogram)
+from curlearn import rank_examples, score_dataset, score_histogram
+from curlearn.scoring import margins_from_matrix, score_table_from_probs
 from curlearn.synthetic import make_noisy_corpus
 from curlearn.toy_model import FeatureMatrix, build_probe_scorer, probabilities
 
-# A distribution that is all but decided is easy...
-print("margin of [0.95, 0.05]      ->", difficulty_score(ClassDistribution([0.95, 0.05])))
-# ...a coin flip is maximally hard...
-print("margin of [0.5, 0.5]        ->", difficulty_score(ClassDistribution([0.5, 0.5])))
-# ...and for multi-class only the top two probabilities matter.
-print("margin of [0.6, 0.3, 0.1]   ->", difficulty_score(ClassDistribution([0.6, 0.3, 0.1])))
+# Scores are computed for a whole (N, C) probability matrix at once, one row
+# per example. A distribution that is all but decided is easy, a coin flip is
+# maximally hard, and for multi-class only the top two probabilities matter.
+print("margins of [0.95, 0.05], [0.5, 0.5] ->",
+      margins_from_matrix(np.array([[0.95, 0.05], [0.5, 0.5]])).round(3).tolist())
+print("margin of [0.6, 0.3, 0.1]           ->",
+      margins_from_matrix(np.array([[0.6, 0.3, 0.1]])).round(3).tolist())
 
-# Raw verbalizer-style mass is renormalized over the kept entries first.
-dist = normalize_restricted([3.0, 1.0])
-print("normalize_restricted([3,1]) ->", dist.probs, "margin", difficulty_score(dist))
+# Raw verbalizer-style mass (as in a score file) is renormalized over its own
+# sum before it is scored.
+raw = score_table_from_probs(np.array([[3.0, 1.0]]), ids=[0])
+print("raw row [3, 1] -> renormalized", raw.distributions[0].tolist(),
+      "margin", raw.scores[0])
 
 # Score a whole corpus with a quick throwaway probe model. The probe stands
 # in for pre-trained confidence; external score files are the faithful path.

@@ -12,8 +12,7 @@ from curlearn.scoring import ScoreTable
 # Ten examples whose score equals id/10: id 0 is hardest, id 9 easiest.
 scores = np.linspace(0.0, 0.9, 10)
 dists = np.stack([(1 + scores) / 2, (1 - scores) / 2], axis=1)
-table = ScoreTable(ids=np.arange(10), scores=scores, distributions=dists,
-                   source="external")
+table = ScoreTable(ids=np.arange(10), scores=scores, distributions=dists)
 
 from curlearn.dataset_io import Dataset, Example
 corpus = Dataset(examples=[Example(id=i, text="word " * (i + 1), label=i % 2)
@@ -39,8 +38,7 @@ print(np.round(w2 / w2.sum(), 3).tolist())
 big_scores = np.linspace(0, 1, 32)
 big_table = ScoreTable(ids=np.arange(32), scores=big_scores,
                        distributions=np.stack([(1 + big_scores) / 2,
-                                               (1 - big_scores) / 2], axis=1),
-                       source="external")
+                                               (1 - big_scores) / 2], axis=1))
 big_corpus = Dataset(examples=[Example(id=i, text="x", label=0) for i in range(32)],
                      class_count=2)
 plan = make_plan(Strategy.PME, big_table, big_corpus, rng=np.random.default_rng(1))

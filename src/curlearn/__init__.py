@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .dataset_io import token_lengths
 from .samplers import Strategy, make_plan, rank_weights
-from .scoring import (ClassDistribution, difficulty_score, normalize_restricted,
-                      rank_examples, score_dataset, score_histogram)
+from .scoring import rank_examples, score_dataset, score_histogram
 from .trainer import few_shot_select
 
 __all__ = [
-    "ClassDistribution", "Strategy", "difficulty_score", "few_shot_select", "make_plan",
-    "normalize_restricted", "rank_examples", "rank_weights", "score_dataset",
-    "score_histogram", "token_lengths",
+    "Strategy", "few_shot_select", "make_plan", "rank_examples", "rank_weights",
+    "score_dataset", "score_histogram", "token_lengths",
 ]

@@ -28,8 +28,7 @@ from . import __version__
 from .dataset_io import (Dataset, load_dataset, open_atomic, read_predictions,
                          read_score_file, token_lengths)
 from .samplers import Strategy, make_plan, write_plan_jsonl
-from .scoring import (ScoreTable, score_histogram, score_table_from_probs,
-                      write_histogram_csv)
+from .scoring import score_histogram, score_table_from_probs, write_histogram_csv
 from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, TrainConfig, aggregate_runs, featurize_splits,
                       few_shot_select, resolve_score_table, run_training,
                       write_aggregate_csv, write_aggregate_text, write_checkpoint_csv,
@@ -313,15 +312,16 @@ class Cell:
     config: TrainConfig
     seed: int
     splits: tuple[Dataset, Dataset, Dataset]  # train (or few-shot subset), val, test
-    table: ScoreTable | None
+    tables: tuple  # train and validation ScoreTable from one probe, None when unused
     features: tuple  # the splits' FeatureMatrix, in the same order
 
 
 def _run_cell(cell: Cell, out_dir: Path, prefix: str):
     """Train one cell and write its outputs; a failure comes back as its message."""
     try:
-        report = run_training(*cell.splits, cell.config, seed=cell.seed,
-                              score_table=cell.table, features=cell.features).report
+        table, val_table = cell.tables
+        report = run_training(*cell.splits, cell.config, seed=cell.seed, score_table=table,
+                              features=cell.features, val_table=val_table).report
         _write_run_outputs(out_dir, prefix, report)
         return report, None
     except Exception as err:  # noqa: BLE001 - the grid marks the gap and keeps going
@@ -357,7 +357,10 @@ def run_grid(cells, jobs: int, out_dir: Path, prefix: str = "") -> tuple[dict, b
 
 def _prepare_grid(args, strategies, few_shot: bool = False):
     """Settings, config, the three splits, the output directory, their FeatureMatrix
-    and the one score table every cell shares (None when no cell needs scores)."""
+    and the (train, validation) score tables every cell shares, from one probe.
+
+    The train table is None when no cell needs scores, the validation table
+    unless the validation split is rescored."""
     settings = resolve_settings(args)
     config = train_config(settings)
     splits = (_load_split(args.train, settings, "train"),
@@ -368,10 +371,10 @@ def _prepare_grid(args, strategies, few_shot: bool = False):
         raise ValueError(f"k={k} exceeds training set size {len(splits[0])}")
     out_dir = _check_out_dir(args.out, args.force)
     features = featurize_splits(splits, config)
-    table = None
+    tables = None, None
     if any(s.needs_scores for s in strategies) or config.rescore:
-        table = resolve_score_table(splits[0], config, features[0])
-    return settings, config, splits, out_dir, features, table
+        tables = resolve_score_table(splits[0], config, features[0], (splits[1], features[1]))
+    return settings, config, splits, out_dir, features, tables
 
 
 def _finish_grid(args, settings, failed: bool) -> int:
@@ -387,7 +390,7 @@ def cmd_score(args) -> int:
     settings = resolve_settings(args)
     dataset = _load_split(args.dataset, settings, "train")
     _check_out_file(args.out, args.force)
-    table = resolve_score_table(dataset, train_config(settings))
+    table, _ = resolve_score_table(dataset, train_config(settings))
     order = np.argsort(table.ids, kind="stable")
     with open_atomic(args.out, encoding="utf-8") as fh:
         for row in order:
@@ -407,7 +410,7 @@ def cmd_plan(args) -> int:
     dataset = _load_split(args.dataset, settings, "train")
     strategy = config.strategy
     _check_out_file(args.out, args.force)
-    table = resolve_score_table(dataset, config) if strategy.needs_scores else None
+    table = resolve_score_table(dataset, config)[0] if strategy.needs_scores else None
     length_index = (token_lengths(dataset, config.max_tokens)
                     if strategy is Strategy.LENGTH else None)
     seed = config.seeds[0]
@@ -416,7 +419,7 @@ def cmd_plan(args) -> int:
         rng = np.random.default_rng((seed, epoch))
         plans.append(make_plan(strategy, table, dataset, rng=rng,
                                batch_size=config.batch_size,
-                               length_index=length_index, seed=seed))
+                               length_index=length_index))
     write_plan_jsonl(plans, args.out)
     write_manifest(str(args.out) + ".manifest.json", settings,
                    [args.dataset, settings["scores.path"], args.config])
@@ -424,16 +427,17 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings, config, splits, out_dir, features, table = _prepare_grid(
+    settings, config, splits, out_dir, features, tables = _prepare_grid(
         args, [Strategy.parse(args.strategy)])
-    cells = [Cell(config, seed, splits, table, features) for seed in config.seeds]
+    cells = [Cell(config, seed, splits, tables, features) for seed in config.seeds]
     _, failed = run_grid(cells, 1, out_dir)
     return _finish_grid(args, settings, failed)
 
 
 def cmd_fewshot(args) -> int:
-    settings, config, (train_ds, val_ds, test_ds), out_dir, features, table = _prepare_grid(
+    settings, config, (train_ds, val_ds, test_ds), out_dir, features, tables = _prepare_grid(
         args, [Strategy.parse(args.strategy)], few_shot=True)
+    table, val_table = tables
     row_of = {int(i): r for r, i in enumerate(train_ds.ids)}
     cells = []
     for seed in config.seeds:
@@ -442,7 +446,8 @@ def cmd_fewshot(args) -> int:
                                  rng=rng, batch_size=config.batch_size,
                                  max_tokens=config.max_tokens)
         cells.append(Cell(config, seed, (subset, val_ds, test_ds),
-                          table.restrict(subset.ids) if table is not None else None,
+                          (table.restrict(subset.ids) if table is not None else None,
+                           val_table),
                           (features[0].take([row_of[int(i)] for i in subset.ids]),
                            *features[1:])))
     _, failed = run_grid(cells, 1, out_dir, prefix="fewshot_")
@@ -455,7 +460,7 @@ def cmd_analyze(args) -> int:
     reports = []
     for index, path in enumerate(args.scores_files):
         ids, probs, tag = read_score_file(path, epoch_tags=True)
-        table = score_table_from_probs(probs, ids, source="external")
+        table = score_table_from_probs(probs, ids)
         tag = index if tag is None else tag
         if not args.predictions:
             reports.append(score_histogram(table, bins=bins, epoch_tag=tag))
@@ -476,8 +481,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     strategies = [Strategy.parse(s) for s in args.strategies]
-    settings, config, splits, out_dir, features, table = _prepare_grid(args, strategies)
-    cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits, table,
+    settings, config, splits, out_dir, features, tables = _prepare_grid(args, strategies)
+    cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits, tables,
                   features)
              for strategy in strategies for seed in config.seeds]
     reports, failed = run_grid(cells, settings["compare.jobs"], out_dir)

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,16 +66,9 @@ class Example:
 class Dataset:
     examples: list[Example]
     class_count: int
-    label_names: tuple[str, ...] = ()
     split_tag: str = "train"
 
     def __post_init__(self):
-        if not self.label_names:
-            self.label_names = tuple(f"class_{c}" for c in range(self.class_count))
-        if self.class_count != len(self.label_names):
-            raise ValueError(
-                f"class_count {self.class_count} != {len(self.label_names)} label names"
-            )
         for ex in self.examples:
             if not 0 <= ex.label < self.class_count:
                 raise ValueError(f"label {ex.label} out of range for example id {ex.id}")
@@ -101,14 +94,6 @@ class Dataset:
         return replace(self, examples=picked, split_tag=split_tag or self.split_tag)
 
 
-@dataclass
-class TokenLengthIndex:
-    """Per-example token counts, aligned with the dataset's example order."""
-
-    lengths: np.ndarray
-    ids: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on unicode whitespace, strip edge punctuation per token.
 
@@ -132,28 +117,22 @@ def _strip_edge_punct(tok: str) -> str:
     return tok[start:end]
 
 
-def example_token_length(ex: Example, max_tokens: int | None = None) -> int:
-    """Token count of an example: text tokens plus pair tokens, optionally capped."""
-    n = len(tokenize(ex.text))
-    if ex.text_pair is not None:
-        n += len(tokenize(ex.text_pair))
-    if max_tokens is not None:
-        n = min(n, max_tokens)
-    return n
-
-
-def token_lengths(dataset: Dataset, max_tokens: int | None = None) -> TokenLengthIndex:
-    lengths = np.array(
-        [example_token_length(ex, max_tokens) for ex in dataset.examples], dtype=np.int64
-    )
-    return TokenLengthIndex(lengths=lengths, ids=dataset.ids)
+def token_lengths(dataset: Dataset, max_tokens: int | None = None) -> np.ndarray:
+    """Per-example token counts (text plus pair tokens, capped at ``max_tokens``),
+    aligned with the dataset's example order."""
+    lengths = []
+    for ex in dataset.examples:
+        n = len(tokenize(ex.text))
+        if ex.text_pair is not None:
+            n += len(tokenize(ex.text_pair))
+        lengths.append(n if max_tokens is None else min(n, max_tokens))
+    return np.array(lengths, dtype=np.int64)
 
 
 def load_dataset(
     path,
     format: str = "jsonl",
     class_count: int = 2,
-    label_names=None,
     split_tag: str = "train",
 ) -> Dataset:
     """Load a dataset file; ids come out dense (0..N-1 in file order).
@@ -196,9 +175,7 @@ def load_dataset(
                                 text_pair=None if pair in (None, "") else str(pair)))
     if not examples:
         raise DatasetFormatError(f"{path}: empty dataset file")
-    return Dataset(examples=examples, class_count=class_count,
-                   label_names=tuple(label_names) if label_names else (),
-                   split_tag=split_tag)
+    return Dataset(examples=examples, class_count=class_count, split_tag=split_tag)
 
 
 def _read_jsonl_records(path):
@@ -409,4 +386,4 @@ def load_external_scores(path, dataset: Dataset):
                                  f"({len(missing)} ids absent in total)")
     by_id = np.argsort(ids)
     rows = by_id[np.searchsorted(ids, dataset.ids, sorter=by_id)]
-    return score_table_from_probs(probs[rows], ids=dataset.ids, source="external")
+    return score_table_from_probs(probs[rows], ids=dataset.ids)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import Dataset, TokenLengthIndex, open_atomic
+from .dataset_io import Dataset, open_atomic
 from .scoring import RankedList, ScoreTable, rank_examples
 
 
@@ -56,8 +56,6 @@ class Strategy(enum.Enum):
     def needs_scores(self) -> bool:
         return self not in (Strategy.RANDOM, Strategy.LENGTH)
 
-
-ALL_STRATEGIES = tuple(Strategy)
 
 # Sort direction of the ranked list each strategy consumes.
 RANK_DIRECTION = {
@@ -101,7 +99,6 @@ class EpochPlan:
     batch_size: int
     batch_provenance: np.ndarray
     strategy: Strategy
-    seed: int | None = None
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=np.int64)
@@ -121,14 +118,13 @@ def _whole_tags(n: int) -> np.ndarray:
 
 
 def sequential_plan(ranked: RankedList, which: Strategy,
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    seed: int | None = None) -> EpochPlan:
+                    batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
     """E2D/D2E: the ranked order itself is the schedule."""
     if which not in (Strategy.E2D, Strategy.D2E):
         raise ValueError(f"sequential_plan handles E2D/D2E, got {which}")
     _check_direction(ranked, which)
     return EpochPlan(order=ranked.order.copy(), batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ranked)), strategy=which, seed=seed)
+                     batch_provenance=_whole_tags(len(ranked)), strategy=which)
 
 
 def weighted_permutation(ids, weights, rng: np.random.Generator) -> np.ndarray:
@@ -153,8 +149,7 @@ def weighted_permutation(ids, weights, rng: np.random.Generator) -> np.ndarray:
 
 
 def probability_plan(ranked: RankedList, which: Strategy, rng: np.random.Generator,
-                     batch_size: int = DEFAULT_BATCH_SIZE,
-                     seed: int | None = None) -> EpochPlan:
+                     batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
     """SME/SMD: square-law weights by rank, then one weighted permutation."""
     if which not in (Strategy.SME, Strategy.SMD):
         raise ValueError(f"probability_plan handles SME/SMD, got {which}")
@@ -162,13 +157,12 @@ def probability_plan(ranked: RankedList, which: Strategy, rng: np.random.Generat
     weights = rank_weights(len(ranked), "square")
     order = weighted_permutation(ranked.order, weights, rng)
     return EpochPlan(order=order, batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ranked)), strategy=which, seed=seed)
+                     batch_provenance=_whole_tags(len(ranked)), strategy=which)
 
 
 def partitioned_plan(ranked: RankedList, which: Strategy, rng: np.random.Generator,
                      batch_size: int = DEFAULT_BATCH_SIZE,
-                     split: tuple[int, int] = DEFAULT_PARTITION_SPLIT,
-                     seed: int | None = None) -> EpochPlan:
+                     split: tuple[int, int] = DEFAULT_PARTITION_SPLIT) -> EpochPlan:
     """PME/PMD: per batch, draw split[0] ids under the square law and then
     split[1] under the complement law, all without replacement within the
     epoch. A ragged final batch keeps the proportions, rounding B1 up."""
@@ -207,14 +201,14 @@ def partitioned_plan(ranked: RankedList, which: Strategy, rng: np.random.Generat
         used[pos] = True
         picks.append(pos)
     return EpochPlan(order=ranked.order[picks], batch_size=batch_size,
-                     batch_provenance=np.array(tags, dtype="<U5"), strategy=which, seed=seed)
+                     batch_provenance=np.array(tags, dtype="<U5"), strategy=which)
 
 
 def baseline_plan(dataset: Dataset, which: Strategy, rng: np.random.Generator | None = None,
-                  length_index: TokenLengthIndex | None = None,
-                  batch_size: int = DEFAULT_BATCH_SIZE,
-                  seed: int | None = None) -> EpochPlan:
-    """Random: uniform permutation. Length: shortest-first, ties by id."""
+                  length_index: np.ndarray | None = None,
+                  batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
+    """Random: uniform permutation. Length: shortest-first by ``length_index``
+    (``dataset_io.token_lengths``), ties by id."""
     ids = dataset.ids
     if which is Strategy.RANDOM:
         if rng is None:
@@ -223,21 +217,20 @@ def baseline_plan(dataset: Dataset, which: Strategy, rng: np.random.Generator | 
     elif which is Strategy.LENGTH:
         if length_index is None:
             raise ValueError("Length baseline needs a token length index")
-        if len(length_index.lengths) != len(ids):
+        if len(length_index) != len(ids):
             raise ValueError("length index misaligned with dataset")
-        order = ids[np.lexsort((ids, length_index.lengths))]
+        order = ids[np.lexsort((ids, length_index))]
     else:
         raise ValueError(f"baseline_plan handles Random/Length, got {which}")
     return EpochPlan(order=order, batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ids)), strategy=which, seed=seed)
+                     batch_provenance=_whole_tags(len(ids)), strategy=which)
 
 
 def make_plan(strategy: Strategy, score_table: ScoreTable | None, dataset: Dataset,
               rng: np.random.Generator | None = None,
               batch_size: int = DEFAULT_BATCH_SIZE,
               split: tuple[int, int] = DEFAULT_PARTITION_SPLIT,
-              length_index: TokenLengthIndex | None = None,
-              seed: int | None = None) -> EpochPlan:
+              length_index: np.ndarray | None = None) -> EpochPlan:
     """Route a strategy to its plan constructor with the right sort direction."""
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -246,13 +239,12 @@ def make_plan(strategy: Strategy, score_table: ScoreTable | None, dataset: Datas
             raise ValueError(f"strategy {strategy.value} needs difficulty scores")
         ranked = rank_examples(score_table, RANK_DIRECTION[strategy])
         if strategy in (Strategy.E2D, Strategy.D2E):
-            return sequential_plan(ranked, strategy, batch_size=batch_size, seed=seed)
+            return sequential_plan(ranked, strategy, batch_size=batch_size)
         if strategy in (Strategy.SME, Strategy.SMD):
-            return probability_plan(ranked, strategy, rng, batch_size=batch_size, seed=seed)
-        return partitioned_plan(ranked, strategy, rng, batch_size=batch_size,
-                                split=split, seed=seed)
+            return probability_plan(ranked, strategy, rng, batch_size=batch_size)
+        return partitioned_plan(ranked, strategy, rng, batch_size=batch_size, split=split)
     return baseline_plan(dataset, strategy, rng=rng, length_index=length_index,
-                         batch_size=batch_size, seed=seed)
+                         batch_size=batch_size)
 
 
 def _check_direction(ranked: RankedList, which: Strategy) -> None:

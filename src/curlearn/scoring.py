@@ -21,41 +21,8 @@ from .dataset_io import open_atomic
 _SUM_TOL = 1e-9
 
 
-@dataclass
-class ClassDistribution:
-    """Normalized probability vector over the task's classes."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
-            raise ValueError("probs must be a flat vector")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(self.probs.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {self.probs.sum()}, expected 1")
-
-
-def normalize_restricted(raw) -> ClassDistribution:
-    """Divide a non-negative vector by its sum (the verbalizer-restricted renormalization)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if np.any(raw < 0):
-        raise ValueError("entries must be non-negative")
-    total = float(raw.sum())
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero vector")
-    return ClassDistribution(raw / total)
-
-
-def difficulty_score(dist) -> float:
-    """Margin between the top two class probabilities, in [0, 1]."""
-    probs = dist.probs if isinstance(dist, ClassDistribution) else np.asarray(dist, float)
-    return float(margins_from_matrix(probs.reshape(1, -1))[0])
-
-
 def margins_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    """difficulty_score of each row of an (N, C) probability matrix."""
+    """Difficulty score of each row of an (N, C) probability matrix, in [0, 1]."""
     if matrix.shape[1] < 2:
         raise ValueError("difficulty score needs at least two classes")
     top2 = np.partition(matrix, matrix.shape[1] - 2, axis=1)[:, -2:]
@@ -74,7 +41,6 @@ class ScoreTable:
     ids: np.ndarray
     scores: np.ndarray
     distributions: np.ndarray
-    source: str = "external"
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -95,10 +61,10 @@ class ScoreTable:
             raise KeyError(f"ids not in score table: {missing[:5]}")
         rows = [pos[i] for i in wanted]
         return ScoreTable(ids=self.ids[rows], scores=self.scores[rows],
-                          distributions=self.distributions[rows], source=self.source)
+                          distributions=self.distributions[rows])
 
 
-def score_table_from_probs(matrix: np.ndarray, ids, source: str) -> ScoreTable:
+def score_table_from_probs(matrix: np.ndarray, ids) -> ScoreTable:
     """Renormalize raw per-example probability rows and score them.
 
     Every row must be finite, non-negative and have a positive sum, as
@@ -108,10 +74,10 @@ def score_table_from_probs(matrix: np.ndarray, ids, source: str) -> ScoreTable:
     matrix = matrix / matrix.sum(axis=1, keepdims=True)
     return ScoreTable(ids=np.asarray(ids, dtype=np.int64),
                       scores=margins_from_matrix(matrix),
-                      distributions=matrix, source=source)
+                      distributions=matrix)
 
 
-def score_dataset(probs, dataset, source: str = "probe_model") -> ScoreTable:
+def score_dataset(probs, dataset) -> ScoreTable:
     """Score every example from its row of an (N, C) probability matrix.
 
     Row k belongs to the dataset's k-th example, e.g. the rows of a frozen
@@ -130,7 +96,7 @@ def score_dataset(probs, dataset, source: str = "probe_model") -> ScoreTable:
         raise ValueError(f"probabilities {probs[k].tolist()} for id {dataset.examples[k].id} "
                          "are not a distribution (finite, non-negative, summing to 1)")
     return ScoreTable(ids=dataset.ids, scores=margins_from_matrix(probs),
-                      distributions=probs, source=source)
+                      distributions=probs)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset_io import Dataset, Example, open_atomic, stratified_split, tokenize
+from .dataset_io import Dataset, Example, stratified_split, tokenize
 
 
 def _hash_token(token: str) -> int:
@@ -374,60 +374,3 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
                 optimizer_step(model, grads, state)
     return model
 
-
-CHECKPOINT_VERSION = 1
-
-
-def save_model(path, model: LinearModel, state: OptimizerState | None = None) -> None:
-    """Versioned .npz checkpoint; sparse columns are stored when cheaper."""
-    payload = {
-        "version": np.int64(CHECKPOINT_VERSION),
-        "class_count": np.int64(model.class_count),
-        "dim": np.int64(model.dim),
-        "bias": model.bias,
-    }
-    nz_cols = np.flatnonzero(np.any(model.weights != 0, axis=0))
-    if len(nz_cols) * (model.class_count + 1) < model.weights.size:
-        payload["weight_cols"] = nz_cols
-        payload["weight_col_vals"] = model.weights[:, nz_cols]
-    else:
-        payload["weights"] = model.weights
-    if state is not None:
-        payload.update({
-            "opt_kind": np.bytes_(state.kind.encode()),
-            "opt_scalars": np.array([state.base_lr, state.weight_decay, state.beta1,
-                                     state.beta2, state.epsilon], dtype=np.float64),
-            "opt_steps": np.array([state.t, state.total_steps], dtype=np.int64),
-        })
-        if state.kind == "adamw":
-            payload.update({"opt_m_w": state.m_w, "opt_v_w": state.v_w,
-                            "opt_m_b": state.m_b, "opt_v_b": state.v_b})
-    with open_atomic(path, "wb") as fh:  # keep the exact path; np.savez would append .npz
-        np.savez(fh, **payload)
-
-
-def load_model(path) -> tuple[LinearModel, OptimizerState | None]:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        C, D = int(data["class_count"]), int(data["dim"])
-        if "weights" in data:
-            weights = data["weights"]
-        else:
-            weights = np.zeros((C, D), dtype=np.float64)
-            weights[:, data["weight_cols"]] = data["weight_col_vals"]
-        model = LinearModel(weights=weights, bias=data["bias"])
-        state = None
-        if "opt_kind" in data:
-            scalars = data["opt_scalars"]
-            steps = data["opt_steps"]
-            state = OptimizerState(
-                kind=bytes(data["opt_kind"]).decode(), base_lr=float(scalars[0]),
-                total_steps=int(steps[1]), weight_decay=float(scalars[1]),
-                beta1=float(scalars[2]), beta2=float(scalars[3]),
-                epsilon=float(scalars[4]), t=int(steps[0]))
-            if state.kind == "adamw":
-                state.m_w, state.v_w = data["opt_m_w"], data["opt_v_w"]
-                state.m_b, state.v_b = data["opt_m_b"], data["opt_v_b"]
-    return model, state

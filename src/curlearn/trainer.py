@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,12 +152,11 @@ def evaluate(model: LinearModel, split: Dataset, feats: FeatureMatrix | None = N
     return compute_metrics(preds, labels, split.class_count), float(-np.log(gold).mean())
 
 
-def checkpoint_steps(N: int, batch_size: int = DEFAULT_BATCH_SIZE,
-                     fraction: float = 0.1) -> list[int]:
+def checkpoint_steps(N: int, fraction: float = 0.1) -> list[int]:
     """Example-count marks ceil(k*fraction*N), k = 1..ceil(1/fraction).
 
     Marks are deduplicated and capped at N; the trainer evaluates after the
-    batch that crosses each mark, so batch_size does not move the marks.
+    batch that crosses each mark, so the batch size does not move the marks.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -240,31 +239,40 @@ class TrainOutcome:
     """Everything a run produced; ``report`` alone is the serialized contract."""
 
     report: RunReport
-    final_model: LinearModel
     best_model: LinearModel
     score_table: ScoreTable | None = None
-    epoch_snapshots: list[LinearModel] = field(default_factory=list)
 
 
 def resolve_score_table(train_ds: Dataset, config: TrainConfig,
                         feats: FeatureMatrix | None = None,
-                        score_on: tuple[Dataset, FeatureMatrix] | None = None) -> ScoreTable:
-    """External score file when configured, probe model otherwise.
+                        val: tuple[Dataset, FeatureMatrix] | None = None,
+                        ) -> tuple[ScoreTable, ScoreTable | None]:
+    """The training split's scores, from the external score file when
+    configured and from the probe model otherwise, plus the validation
+    split's scores when the config rescores that split.
 
     ``feats`` is the training split's FeatureMatrix (built here when
-    omitted). The probe trains on it and scores the training split, or the
-    (dataset, FeatureMatrix) pair ``score_on`` when given.
+    omitted); the probe trains on it once. ``val`` is the validation
+    (dataset, FeatureMatrix) pair: with ``rescore_split='validation'`` the
+    same probe scores it, and the second table is None otherwise.
     """
+    score_val = val is not None and config.rescore and config.rescore_split == "validation"
     if config.scores_path:
-        return load_external_scores(config.scores_path, train_ds)
+        if score_val:  # an external file only covers the training split
+            raise ValueError("rescore_split='validation' requires the probe "
+                             "provider, not an external score file")
+        return load_external_scores(config.scores_path, train_ds), None
     if feats is None:
         feats = FeatureMatrix.build(train_ds, config.dim, config.max_tokens)
     probe = build_probe_scorer(
         train_ds, feats, probe_fraction=config.probe_fraction,
         probe_epochs=config.probe_epochs, seed=config.probe_seed, kind=config.optimizer,
         base_lr=config.learning_rate, batch_size=config.batch_size)
-    dataset, feats = score_on or (train_ds, feats)
-    return score_dataset(probabilities(feats.logits(probe)), dataset, source="probe_model")
+    train_table = score_dataset(probabilities(feats.logits(probe)), train_ds)
+    if not score_val:
+        return train_table, None
+    val_ds, val_feats = val
+    return train_table, score_dataset(probabilities(val_feats.logits(probe)), val_ds)
 
 
 def featurize_splits(splits, config: TrainConfig) -> tuple[FeatureMatrix, ...]:
@@ -276,11 +284,12 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
                  config: TrainConfig, seed: int | None = None,
                  score_table: ScoreTable | None = None,
                  features: tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix] | None = None,
-                 ) -> TrainOutcome:
+                 val_table: ScoreTable | None = None) -> TrainOutcome:
     """One seeded run; returns the report plus the models behind it.
 
-    ``score_table`` short-circuits scoring so a grid of runs can share one
-    table, mirroring the score-once-then-train protocol. ``features``, the
+    ``score_table`` and, for validation rescoring, ``val_table`` short-circuit
+    scoring so a grid of runs can share the tables of one probe, mirroring
+    the score-once-then-train protocol. ``features``, the
     (train, val, test) matrices built by ``FeatureMatrix.build`` with this
     config's ``dim`` and ``max_tokens``, does the same for featurization:
     hashing is seedless, so a grid can build them once and share them.
@@ -295,8 +304,12 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         raise ValueError("features do not match the train/val/test split sizes "
                          "or the config's dim and max_tokens")
     feats_train, feats_val, feats_test = features
-    if score_table is None and (strategy.needs_scores or config.rescore):
-        score_table = resolve_score_table(train_ds, config, feats_train)
+    rescore_val = config.rescore and config.rescore_split == "validation"
+    if ((score_table is None and (strategy.needs_scores or config.rescore))
+            or (rescore_val and val_table is None)):
+        tables = resolve_score_table(train_ds, config, feats_train, val=(val_ds, feats_val))
+        score_table = tables[0] if score_table is None else score_table
+        val_table = tables[1]
     length_index = (token_lengths(train_ds, config.max_tokens)
                     if strategy is Strategy.LENGTH else None)
 
@@ -307,7 +320,7 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         model, kind=config.optimizer, base_lr=config.resolved_lr(),
         total_steps=config.epochs * steps_per_epoch, weight_decay=config.weight_decay,
         beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
-    marks = checkpoint_steps(N, config.batch_size, config.checkpoint_fraction)
+    marks = checkpoint_steps(N, config.checkpoint_fraction)
     row_of = {int(i): r for r, i in enumerate(train_ds.ids)}
     labels = train_ds.labels
 
@@ -317,8 +330,7 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     for epoch in range(config.epochs):
         rng = np.random.default_rng((seed, epoch))
         plan = make_plan(strategy, score_table, train_ds, rng=rng,
-                         batch_size=config.batch_size, length_index=length_index,
-                         seed=seed)
+                         batch_size=config.batch_size, length_index=length_index)
         seen = 0
         next_mark = 0
         for batch_no, batch_ids in enumerate(plan.batches()):
@@ -352,17 +364,8 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     test_metrics, test_loss = evaluate(best_model, test_ds, feats_test)
     histograms = None
     if config.rescore:
-        if config.rescore_split == "train":
-            rescore_ds, rescore_feats, initial = train_ds, feats_train, score_table
-        else:
-            # validation rescoring needs the probe; an external file only
-            # covers the training split
-            if config.scores_path:
-                raise ValueError("rescore_split='validation' requires the probe "
-                                 "provider, not an external score file")
-            rescore_ds, rescore_feats = val_ds, feats_val
-            initial = resolve_score_table(train_ds, config, feats_train,
-                                          score_on=(val_ds, feats_val))
+        rescore_ds, rescore_feats, initial = ((val_ds, feats_val, val_table) if rescore_val
+                                              else (train_ds, feats_train, score_table))
         histograms = rescore_analysis(snapshots, rescore_ds, initial_table=initial,
                                       bins=config.histogram_bins, feats=rescore_feats)
     report = RunReport(
@@ -370,18 +373,17 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
         best_checkpoint_index=best_index, test_metrics=test_metrics,
         test_mean_loss=test_loss, score_histograms=histograms)
-    return TrainOutcome(report=report, final_model=model, best_model=best_model,
-                        score_table=score_table, epoch_snapshots=snapshots)
+    return TrainOutcome(report=report, best_model=best_model, score_table=score_table)
 
 
 def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | None = None,
-                     bins: int = 20, max_tokens: int | None = None,
-                     feats: FeatureMatrix | None = None) -> list[HistogramReport]:
+                     bins: int = 20, feats: FeatureMatrix | None = None) -> list[HistogramReport]:
     """Score histograms per training epoch, split by prediction correctness.
 
     Epoch 0 comes from ``initial_table`` (the scores taken before training)
     when given; snapshot k produces the epoch-(k+1) report. ``feats`` is the
-    dataset's prebuilt FeatureMatrix; it is built on first use when omitted.
+    dataset's prebuilt FeatureMatrix; it is built uncapped on first use when
+    omitted.
     """
     if not snapshots and initial_table is None:
         raise ValueError("no snapshots or initial table to analyze")
@@ -393,9 +395,9 @@ def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | No
         reports.append(score_histogram(sub, preds, labels, bins=bins, epoch_tag=0))
     for k, model in enumerate(snapshots):
         if feats is None:
-            feats = FeatureMatrix.build(dataset, model.dim, max_tokens)
+            feats = FeatureMatrix.build(dataset, model.dim)
         probs = probabilities(feats.logits(model))
-        table = score_dataset(probs, dataset, source="trained_model")
+        table = score_dataset(probs, dataset)
         preds = np.argmax(probs, axis=1)
         reports.append(score_histogram(table, preds, labels, bins=bins, epoch_tag=k + 1))
     return reports

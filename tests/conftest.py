@@ -25,5 +25,5 @@ def dataset_from_scores(scores):
     ds = Dataset(examples=examples, class_count=2)
     scores = np.asarray(scores, dtype=np.float64)
     dists = np.stack([(1 + scores) / 2, (1 - scores) / 2], axis=1)
-    table = ScoreTable(ids=ds.ids, scores=scores, distributions=dists, source="external")
+    table = ScoreTable(ids=ds.ids, scores=scores, distributions=dists)
     return ds, table

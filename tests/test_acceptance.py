@@ -14,7 +14,7 @@ from scipy import stats
 from curlearn.cli import main as cli_main
 from curlearn.dataset_io import save_dataset
 from curlearn.samplers import Strategy, make_plan, weighted_permutation
-from curlearn.scoring import ClassDistribution, difficulty_score
+from curlearn.scoring import margins_from_matrix
 from curlearn.synthetic import make_noisy_corpus, make_separable_corpus
 from curlearn.trainer import TrainConfig, evaluate, few_shot_select, run_training
 
@@ -121,9 +121,9 @@ def c7_output(workspace, tmp_path_factory):
 
 def test_c1_difficulty_score_unit_suite(checked):
     def body():
-        assert difficulty_score(ClassDistribution([0.5, 0.5])) == 0.0
-        assert difficulty_score(ClassDistribution([1.0, 0.0])) == 1.0
-        assert difficulty_score(ClassDistribution([0.6, 0.3, 0.1])) == pytest.approx(0.3)
+        assert margins_from_matrix(np.array([[0.5, 0.5]]))[0] == 0.0
+        assert margins_from_matrix(np.array([[1.0, 0.0]]))[0] == 1.0
+        assert margins_from_matrix(np.array([[0.6, 0.3, 0.1]]))[0] == pytest.approx(0.3)
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(1000):
@@ -131,7 +131,7 @@ def test_c1_difficulty_score_unit_suite(checked):
             probs = rng.random(c) + 1e-9
             probs /= probs.sum()
             want = float(np.sort(probs)[-1] - np.sort(probs)[-2])
-            worst = max(worst, abs(difficulty_score(ClassDistribution(probs)) - want))
+            worst = max(worst, abs(margins_from_matrix(probs.reshape(1, -1))[0] - want))
         assert worst < 1e-12
         return f"3 fixed cases + 1000 random margins, max |err| = {worst:.2e}"
 
@@ -179,8 +179,7 @@ def test_c3_permutation_invariant_all_strategies(checked):
         for n in (1, 2, 16, 17, 100):
             rng = np.random.default_rng(n)
             ds, table = dataset_from_scores(rng.random(n))
-            from curlearn.dataset_io import TokenLengthIndex
-            lengths = TokenLengthIndex(lengths=rng.integers(1, 40, size=n))
+            lengths = rng.integers(1, 40, size=n)
             want = list(range(n))
             for strategy in Strategy:
                 for seed in range(100):
@@ -309,19 +308,17 @@ def test_c8_few_shot_protocol(checked):
         want_hard = set(np.argsort(scores, kind="stable")[:64].tolist())
         assert set(int(i) for i in d2e.ids) == want_hard
 
-        from curlearn.dataset_io import TokenLengthIndex
         lengths = rng.integers(1, 60, size=1000)
-        idx = TokenLengthIndex(lengths=lengths)
-        short = few_shot_select(Strategy.LENGTH, None, ds, k=64, length_index=idx)
+        short = few_shot_select(Strategy.LENGTH, None, ds, k=64, length_index=lengths)
         want_short = set(np.lexsort((np.arange(1000), lengths))[:64].tolist())
         assert set(int(i) for i in short.ids) == want_short
 
         for strategy in (Strategy.SME, Strategy.SMD, Strategy.PME, Strategy.PMD,
                          Strategy.RANDOM):
             a = few_shot_select(strategy, table, ds, k=64,
-                                rng=np.random.default_rng(123), length_index=idx)
+                                rng=np.random.default_rng(123), length_index=lengths)
             b = few_shot_select(strategy, table, ds, k=64,
-                                rng=np.random.default_rng(123), length_index=idx)
+                                rng=np.random.default_rng(123), length_index=lengths)
             assert a.ids.tolist() == b.ids.tolist()
             assert len(set(a.ids.tolist())) == 64
         return "k=64 selections exact for E2D/D2E/Length, drawn ones seed-deterministic"

@@ -350,6 +350,52 @@ def test_compare_featurizes_each_split_once(tmp_path, splits, monkeypatch):
     assert sorted(builds) == ["test", "train", "validation"]
 
 
+@pytest.mark.parametrize("command, strategies", [
+    ("compare", ["--strategies", "Random", "E2D"]),
+    ("train", ["--strategy", "E2D"]),
+    ("fewshot", ["--strategy", "E2D", "--k", "40"]),
+])
+def test_validation_rescoring_trains_the_probe_once(tmp_path, splits, monkeypatch,
+                                                     command, strategies):
+    import curlearn.trainer as trainer
+    calls = []
+    build = trainer.build_probe_scorer
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_probe_scorer", counting_build)
+    rc = main([command, *split_flags(splits), *strategies, "--seed", "66", "--seed", "88",
+               "--epochs", "1", "--dim", DIM, "--rescore", "--rescore-split", "validation",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    # one probe scores the train split and the validation split for every cell
+    assert len(calls) == 1
+
+
+def test_fewshot_validation_rescoring_starts_from_the_full_split_probe(tmp_path, splits):
+    # the 20 hardest of these 300 examples hold too few of class 0 for a
+    # probe trained on a 10% slice of them
+    train = tmp_path / "train300.jsonl"
+    save_dataset(make_separable_corpus(300, seed=1), train)
+    flags = ["--train", str(train), "--val", splits["val"], "--test", splits["test"],
+             "--strategy", "D2E", "--seed", "66", "--seed", "88", "--epochs", "1",
+             "--dim", DIM, "--rescore", "--rescore-split", "validation"]
+    assert main(["fewshot", *flags, "--k", "20", "--out", str(tmp_path / "few")]) == 0
+    assert main(["train", *flags, "--out", str(tmp_path / "full")]) == 0
+
+    def epoch0_rows(path):
+        rows = path.read_text().splitlines()
+        return [r for r in rows[1:] if r.split(",")[-1] == "0"]
+
+    for seed in (66, 88):
+        few = epoch0_rows(tmp_path / "few" / f"histograms_fewshot_D2E_seed{seed}.csv")
+        full = epoch0_rows(tmp_path / "full" / f"histograms_D2E_seed{seed}.csv")
+        assert len(few) == 20  # the default 20 bins
+        assert few == full
+
+
 # ------------------------------------------------------------- configuration
 
 

@@ -145,8 +145,7 @@ def test_token_lengths_single_and_pair():
     ds = Dataset(examples=[Example(id=0, text="a b c", label=0),
                            Example(id=1, text="a b", label=0, text_pair="c")],
                  class_count=2)
-    idx = token_lengths(ds)
-    assert idx.lengths.tolist() == [3, 3]
+    assert token_lengths(ds).tolist() == [3, 3]
 
 
 def test_token_lengths_match_recount_oracle():
@@ -159,7 +158,7 @@ def test_token_lengths_match_recount_oracle():
                 if rng.random() < 0.5 else None)
         examples.append(Example(id=i, text=text, label=0, text_pair=pair))
     ds = Dataset(examples=examples, class_count=2)
-    lengths = token_lengths(ds).lengths
+    lengths = token_lengths(ds)
     for ex, got in zip(ds.examples, lengths):
         want = len(_oracle_tokens(ex.text))
         if ex.text_pair is not None:
@@ -174,13 +173,12 @@ def test_token_lengths_permutation_equivariant():
     ds = Dataset(examples=examples, class_count=2)
     perm = rng.permutation(40)
     shuffled = Dataset(examples=[examples[p] for p in perm], class_count=2)
-    assert token_lengths(shuffled).lengths.tolist() == \
-        token_lengths(ds).lengths[perm].tolist()
+    assert token_lengths(shuffled).tolist() == token_lengths(ds)[perm].tolist()
 
 
 def test_token_lengths_max_tokens_cap():
     ds = Dataset(examples=[Example(id=0, text="a b c d e", label=0)], class_count=2)
-    assert token_lengths(ds, max_tokens=3).lengths.tolist() == [3]
+    assert token_lengths(ds, max_tokens=3).tolist() == [3]
 
 
 # --------------------------------------------------------- stratified split
@@ -255,7 +253,6 @@ def test_external_scores_margin(tmp_path, tiny_dataset):
     write_jsonl(path, [{"id": i, "probs": [0.9, 0.1]} for i in range(5)])
     table = load_external_scores(path, tiny_dataset)
     assert table.scores == pytest.approx([0.8] * 5)
-    assert table.source == "external"
 
 
 def test_external_scores_missing_id_named(tmp_path, tiny_dataset):

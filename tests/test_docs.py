@@ -1,6 +1,7 @@
 """The README's settings table, its Python examples and the demo scripts stay
 in step with the code."""
 
+import ast
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import curlearn
 from curlearn.cli import SETTINGS, default_settings
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,9 +48,24 @@ def test_demo_runs(demo, tmp_path):
     run_python([str(ROOT / "demos" / demo)], tmp_path)
 
 
-def test_readme_python_blocks_run(tmp_path):
+def readme_python_blocks():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    blocks = readme_python_blocks()
     assert blocks
     for block in blocks:
         run_python(["-c", block], tmp_path)
+
+
+def test_public_api_is_what_the_docs_import():
+    # a re-export no example uses, or an example importing a name the
+    # package no longer exports, fails here
+    sources = readme_python_blocks() + [p.read_text(encoding="utf-8")
+                                        for p in sorted((ROOT / "demos").glob("*.py"))]
+    imported = {alias.name for source in sources for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "curlearn"
+                for alias in node.names}
+    assert sorted(curlearn.__all__) == sorted(imported)

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from curlearn.samplers import (Strategy, baseline_plan, make_plan, partitioned_plan,
                                probability_plan, rank_weights, sequential_plan,
                                weighted_permutation, write_plan_jsonl)
 from curlearn.scoring import rank_examples
-from curlearn.dataset_io import TokenLengthIndex
 
 from conftest import dataset_from_scores
 
@@ -303,6 +303,19 @@ def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration(N, batch
         else:
             assert abs(emp - p) < 5.5 * math.sqrt(p * (1 - p) / trials) + 1e-4
 
+    # One chi-square over every possible sequence, at a family-wise alpha of
+    # 1e-6 over both cases (Bonferroni: 5e-7 each). Cells expected fewer than
+    # 5 times are pooled into one bin, as the chi-square approximation needs.
+    possible = [seq for seq, p in expected.items() if p > 0]
+    want = np.array([expected[seq] * trials for seq in possible])
+    got = np.array([counts.get(seq, 0) for seq in possible])
+    small = want < 5
+    if small.any():
+        want = np.append(want[~small], want[small].sum())
+        got = np.append(got[~small], got[small].sum())
+    statistic, p_value = stats.chisquare(got, want)
+    assert p_value > 1e-6 / 2, (statistic, p_value)
+
 
 def test_b2_race_alone_at_n1_gives_the_one_id():
     _, table = dataset_from_scores([0.5])
@@ -341,14 +354,14 @@ def test_pmd_equals_pme_on_negated_scores():
 
 
 def test_length_baseline_sorts_shortest_first(tiny_dataset):
-    idx = TokenLengthIndex(lengths=np.array([5, 2, 9, 2, 4]))
+    idx = np.array([5, 2, 9, 2, 4])
     plan = baseline_plan(tiny_dataset, Strategy.LENGTH, length_index=idx)
     assert plan.order.tolist() == [1, 3, 4, 0, 2]  # ties (ids 1,3) by id
 
 
 def test_length_baseline_spec_example():
     ds, _ = dataset_from_scores([0.0, 0.0, 0.0])
-    idx = TokenLengthIndex(lengths=np.array([5, 2, 9]))
+    idx = np.array([5, 2, 9])
     plan = baseline_plan(ds, Strategy.LENGTH, length_index=idx)
     assert plan.order.tolist() == [1, 0, 2]
 
@@ -402,7 +415,7 @@ def test_make_plan_curriculum_without_scores_fails():
 def test_every_strategy_emits_permutations(strategy, n):
     rng = np.random.default_rng(n)
     ds, table = dataset_from_scores(rng.random(n))
-    lengths = TokenLengthIndex(lengths=rng.integers(1, 30, size=n))
+    lengths = rng.integers(1, 30, size=n)
     for seed in range(5):
         plan = make_plan(strategy, table, ds, rng=np.random.default_rng(seed),
                          length_index=lengths)
@@ -413,7 +426,7 @@ def test_every_strategy_emits_permutations(strategy, n):
 def test_seed_determinism_per_strategy(strategy):
     rng = np.random.default_rng(7)
     ds, table = dataset_from_scores(rng.random(33))
-    lengths = TokenLengthIndex(lengths=rng.integers(1, 30, size=33))
+    lengths = rng.integers(1, 30, size=33)
     a = make_plan(strategy, table, ds, rng=np.random.default_rng(5), length_index=lengths)
     b = make_plan(strategy, table, ds, rng=np.random.default_rng(5), length_index=lengths)
     assert a.order.tolist() == b.order.tolist()
@@ -455,7 +468,7 @@ def test_plan_is_a_permutation_for_random_sizes_batches_and_splits(strategy):
         b1 = int(rng.integers(0, batch_size + 1))
         # ties in the scores exercise the id tie-break
         ds, table = dataset_from_scores(rng.integers(0, 5, size=n) / 4)
-        lengths = TokenLengthIndex(lengths=rng.integers(1, 30, size=n))
+        lengths = rng.integers(1, 30, size=n)
         plan = make_plan(strategy, table, ds, rng=np.random.default_rng(int(rng.integers(1000))),
                          batch_size=batch_size, split=(b1, batch_size - b1),
                          length_index=lengths)

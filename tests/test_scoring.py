@@ -3,9 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from curlearn.scoring import (ClassDistribution, ScoreTable, difficulty_score,
-                              normalize_restricted, rank_examples, score_dataset,
-                              score_histogram, write_histogram_csv)
+from curlearn.scoring import (ScoreTable, margins_from_matrix, rank_examples, score_dataset,
+                              score_histogram, score_table_from_probs, write_histogram_csv)
 
 from conftest import dataset_from_scores
 
@@ -15,20 +14,25 @@ def brute_force_margin(probs):
     return ordered[0] - ordered[1]
 
 
+def margin(probs):
+    """The difficulty score of one probability vector, as a one-row matrix."""
+    return float(margins_from_matrix(np.asarray([probs], dtype=np.float64))[0])
+
+
+def renormalized(raw):
+    """One raw row renormalized the way score files are (verbalizer-restricted)."""
+    return score_table_from_probs([raw], ids=[0]).distributions[0]
+
+
 # ---------------------------------------------------------------- normalize
 
 
 def test_normalize_symmetric():
-    assert normalize_restricted([2, 2]).probs == pytest.approx([0.5, 0.5])
+    assert renormalized([2, 2]) == pytest.approx([0.5, 0.5])
 
 
 def test_normalize_direct_division():
-    assert normalize_restricted([3, 1]).probs == pytest.approx([0.75, 0.25])
-
-
-def test_normalize_all_zero_rejected():
-    with pytest.raises(ValueError, match="all-zero"):
-        normalize_restricted([0, 0])
+    assert renormalized([3, 1]) == pytest.approx([0.75, 0.25])
 
 
 def test_normalize_scale_invariance():
@@ -36,8 +40,8 @@ def test_normalize_scale_invariance():
     for _ in range(50):
         v = rng.random(4) + 1e-3
         k = float(rng.random() * 10 + 0.1)
-        a = difficulty_score(normalize_restricted(v))
-        b = difficulty_score(normalize_restricted(k * v))
+        a = score_table_from_probs([v], ids=[0]).scores[0]
+        b = score_table_from_probs([k * v], ids=[0]).scores[0]
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -45,15 +49,15 @@ def test_normalize_scale_invariance():
 
 
 def test_margin_uniform_binary_is_zero():
-    assert difficulty_score(ClassDistribution([0.5, 0.5])) == 0.0
+    assert margin([0.5, 0.5]) == 0.0
 
 
 def test_margin_one_hot_is_one():
-    assert difficulty_score(ClassDistribution([1.0, 0.0])) == 1.0
+    assert margin([1.0, 0.0]) == 1.0
 
 
 def test_margin_three_class():
-    assert difficulty_score(ClassDistribution([0.6, 0.3, 0.1])) == pytest.approx(0.3)
+    assert margin([0.6, 0.3, 0.1]) == pytest.approx(0.3)
 
 
 def test_margin_matches_brute_force_on_random_distributions():
@@ -62,7 +66,7 @@ def test_margin_matches_brute_force_on_random_distributions():
         c = int(rng.choice([2, 3, 5]))
         probs = rng.random(c) + 1e-9
         probs /= probs.sum()
-        got = difficulty_score(ClassDistribution(probs))
+        got = margin(probs)
         assert got == pytest.approx(brute_force_margin(probs), abs=1e-12)
 
 
@@ -71,22 +75,14 @@ def test_margin_invariant_under_class_relabeling():
     for _ in range(100):
         probs = rng.random(5)
         probs /= probs.sum()
-        base = difficulty_score(ClassDistribution(probs))
+        base = margin(probs)
         perm = rng.permutation(5)
-        assert difficulty_score(ClassDistribution(probs[perm])) == pytest.approx(
-            base, abs=1e-12)
+        assert margin(probs[perm]) == pytest.approx(base, abs=1e-12)
 
 
 def test_margin_rejects_single_class():
     with pytest.raises(ValueError, match="two classes"):
-        difficulty_score(np.array([1.0]))
-
-
-def test_class_distribution_invariants_enforced():
-    with pytest.raises(ValueError):
-        ClassDistribution([0.5, 0.6])
-    with pytest.raises(ValueError):
-        ClassDistribution([-0.1, 1.1])
+        margin([1.0])
 
 
 # ------------------------------------------------------------- score_dataset
@@ -126,7 +122,6 @@ def test_wrong_shape_probabilities_rejected(tiny_dataset, shape):
 
 def test_score_table_recomputable_from_distributions(tiny_dataset):
     table = score_dataset(np.tile([0.7, 0.3], (5, 1)), tiny_dataset)
-    from curlearn.scoring import margins_from_matrix
     assert table.scores == pytest.approx(margins_from_matrix(table.distributions))
 
 

@@ -7,8 +7,8 @@ from curlearn import toy_model
 from curlearn.dataset_io import Dataset, Example
 from curlearn.scoring import score_dataset
 from curlearn.toy_model import (FeatureMatrix, FeatureVector, LinearModel, OptimizerState,
-                                build_probe_scorer, featurize, load_model, loss_and_grad,
-                                optimizer_step, probabilities, save_model)
+                                build_probe_scorer, featurize, loss_and_grad,
+                                optimizer_step, probabilities)
 from curlearn.trainer import compute_metrics, evaluate
 from curlearn.synthetic import make_separable_corpus
 
@@ -397,8 +397,8 @@ def _random_sparse_grads(rng, class_count, pool):
 @pytest.mark.parametrize("dense_share", [1.0, toy_model.DENSE_LIVE_SHARE],
                          ids=["live_only", "switching"])
 @pytest.mark.parametrize("case", ["preset_weight", "negative_zero", "lr_zero",
-                                  "checkpoint_roundtrip", "nan_untouched"])
-def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, tmp_path, monkeypatch):
+                                  "nan_untouched"])
+def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, monkeypatch):
     # live_only never switches to the in-place sweep; switching crosses the
     # default share mid-run, so both update paths and the switch are checked
     monkeypatch.setattr(toy_model, "DENSE_LIVE_SHARE", dense_share)
@@ -427,9 +427,6 @@ def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, tmp_path, 
         _dense_adamw_step(ref, grads, ref_state)
         optimizer_step(model, grads, state)
         live_sizes.append(len(state.live_cols))
-        if case == "checkpoint_roundtrip" and step == steps // 2:
-            save_model(tmp_path / "mid.npz", model, state)
-            model, state = load_model(tmp_path / "mid.npz")
     if dense_share < 1.0:
         assert live_sizes[10] <= dense_share * D < live_sizes[-1]
     assert live_sizes[-1] < D
@@ -535,39 +532,3 @@ def test_epoch_loss_strictly_decreases_on_separable_data():
         epoch_losses.append(float(np.mean(losses)))
     assert all(a > b for a, b in zip(epoch_losses, epoch_losses[1:]))
 
-
-# -------------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_roundtrip_sparse_weights(tmp_path):
-    model = LinearModel.zeros(3, DIM)
-    model.weights[1, 17] = 0.25
-    model.bias[:] = [0.1, -0.2, 0.3]
-    path = tmp_path / "m.npz"
-    save_model(path, model)
-    back, state = load_model(path)
-    assert np.array_equal(back.weights, model.weights)
-    assert np.array_equal(back.bias, model.bias)
-    assert state is None
-
-
-def test_checkpoint_roundtrip_dense_weights_and_optimizer(tmp_path):
-    rng = np.random.default_rng(5)
-    model = LinearModel(weights=rng.normal(size=(2, 16)), bias=rng.normal(size=2))
-    state = OptimizerState.for_model(model, kind="adamw", base_lr=0.02, total_steps=40,
-                                     weight_decay=0.05)
-    from curlearn.toy_model import SparseGrads
-    grads = SparseGrads(cols=np.arange(16), weight_vals=rng.normal(size=(2, 16)),
-                        bias=rng.normal(size=2))
-    optimizer_step(model, grads, state)
-    path = tmp_path / "m.npz"
-    save_model(path, model, state)
-    back, back_state = load_model(path)
-    assert np.array_equal(back.weights, model.weights)
-    assert np.array_equal(back.bias, model.bias)
-    assert back_state.kind == "adamw"
-    assert back_state.t == 1
-    assert back_state.total_steps == 40
-    assert back_state.base_lr == state.base_lr
-    assert np.array_equal(back_state.m_w, state.m_w)
-    assert np.array_equal(back_state.v_b, state.v_b)

@@ -93,21 +93,21 @@ def test_evaluate_rejects_empty_split_and_class_mismatch():
 
 
 def test_checkpoint_marks_every_ten_percent():
-    assert checkpoint_steps(100, 16, 0.1) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert checkpoint_steps(100, 0.1) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
 
 def test_checkpoint_marks_ceil_rule():
-    assert checkpoint_steps(7, 16, 0.5) == [4, 7]
+    assert checkpoint_steps(7, 0.5) == [4, 7]
 
 
 def test_checkpoint_marks_degenerate_single_example():
-    assert checkpoint_steps(1, 16, 0.1) == [1]
+    assert checkpoint_steps(1, 0.1) == [1]
 
 
 def test_checkpoint_marks_always_end_at_n():
     for n in (3, 10, 33, 997):
         for frac in (0.1, 0.25, 0.3, 1.0):
-            marks = checkpoint_steps(n, 16, frac)
+            marks = checkpoint_steps(n, frac)
             assert marks[-1] == n
             assert marks == sorted(set(marks))
 
@@ -452,6 +452,6 @@ def test_checkpoint_marks_are_increasing_and_capped_for_random_inputs():
                                 1 / rng.integers(1, 200, size=100), [1.0, 0.1, 0.3]])
     for fraction in fractions:
         n = int(rng.integers(1, 20_001))
-        marks = checkpoint_steps(n, 16, float(fraction))
+        marks = checkpoint_steps(n, float(fraction))
         assert marks[0] >= 1 and marks[-1] == n, (n, fraction)
         assert all(a < b for a, b in zip(marks, marks[1:])), (n, fraction)
