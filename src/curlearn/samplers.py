@@ -257,8 +257,6 @@ def write_plan_jsonl(plans, path) -> None:
     """Dump plans as JSONL: {epoch, position, example_id, partition_tag}."""
     import json
 
-    if isinstance(plans, EpochPlan):
-        plans = [plans]
     with open_atomic(path, encoding="utf-8") as fh:
         for epoch, plan in enumerate(plans):
             for position, (ex_id, tag) in enumerate(zip(plan.order, plan.batch_provenance)):

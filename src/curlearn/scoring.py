@@ -188,8 +188,6 @@ def score_histogram(table: ScoreTable, predictions=None, labels=None,
 
 def write_histogram_csv(reports, path) -> None:
     """Serialize histogram reports: bin_lo, bin_hi, correct_count, incorrect_count, epoch_tag."""
-    if isinstance(reports, HistogramReport):
-        reports = [reports]
     with open_atomic(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "correct_count", "incorrect_count", "epoch_tag"])

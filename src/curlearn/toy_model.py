@@ -9,16 +9,17 @@ Feature hashing uses blake2b (8-byte digest), which is fixed and seedless,
 so feature ids are stable across processes and platforms. Tokens from the
 first text are namespaced "p:", tokens from the pair text "h:".
 
-A split is hashed once into a CSR ``FeatureMatrix``. Training batches,
-evaluation and probe scoring all take rows of such a matrix, and its
-``logits`` method is the one place logits are computed.
+A split is hashed in one pass into a CSR ``FeatureMatrix`` of int32 ids
+(so ``dim`` is at most 2**31) and float32 counts, which widen exactly in the
+float64 products. Training batches, evaluation and probe scoring all take
+rows of such a matrix, and its ``logits`` method is the one place logits
+are computed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,31 +32,14 @@ def _hash_token(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-@dataclass
-class FeatureVector:
-    indices: np.ndarray  # strictly increasing feature ids in [0, D)
-    values: np.ndarray   # matching positive counts
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def featurize(example: Example, dim: int, max_tokens: int | None = None) -> FeatureVector:
-    """Hash an example's tokens into a sparse count vector of width ``dim``."""
-    if dim <= 0 or dim & (dim - 1):
-        raise ValueError(f"dim must be a power of two, got {dim}")
+def featurize(example: Example, dim: int, max_tokens: int | None = None) -> list[int]:
+    """The hashed column in [0, ``dim``) of each kept token, in token order."""
     tokens = [f"p:{t}" for t in tokenize(example.text)]
     if example.text_pair is not None:
         tokens += [f"h:{t}" for t in tokenize(example.text_pair)]
     if max_tokens is not None:
         tokens = tokens[:max_tokens]
-    counts = Counter(_hash_token(t) & (dim - 1) for t in tokens)
-    if not counts:
-        return FeatureVector(indices=np.empty(0, dtype=np.int64),
-                             values=np.empty(0, dtype=np.float64))
-    idx = np.array(sorted(counts), dtype=np.int64)
-    vals = np.array([counts[i] for i in idx], dtype=np.float64)
-    return FeatureVector(indices=idx, values=vals)
+    return [_hash_token(t) & (dim - 1) for t in tokens]
 
 
 @dataclass
@@ -96,9 +80,9 @@ class FeatureMatrix:
     slice of ``flat_values``. ``logits`` is the one place logits are computed.
     """
 
-    indptr: np.ndarray        # (rows + 1,) offsets into the flat arrays
-    flat_indices: np.ndarray  # feature ids in [0, dim)
-    flat_values: np.ndarray   # matching positive counts
+    indptr: np.ndarray        # (rows + 1,) int64 offsets into the flat arrays
+    flat_indices: np.ndarray  # feature ids in [0, dim), int32 when built
+    flat_values: np.ndarray   # matching positive counts, float32 when built
     dim: int
     max_tokens: int | None
 
@@ -108,18 +92,22 @@ class FeatureMatrix:
 
     @classmethod
     def build(cls, dataset: Dataset, dim: int, max_tokens: int | None = None):
-        # appended in place and then wrapped without a copy, so no example's
-        # vector outlives its row and the flat arrays exist once
-        indptr, indices, values = array("q", [0]), array("q"), array("d")
-        for ex in dataset.examples:
-            fv = featurize(ex, dim, max_tokens)
-            indices.frombytes(fv.indices.tobytes())
-            values.frombytes(fv.values.tobytes())
-            indptr.append(len(indices))
-        return cls(indptr=np.frombuffer(indptr, dtype=np.int64),
-                   flat_indices=np.frombuffer(indices, dtype=np.int64),
-                   flat_values=np.frombuffer(values, dtype=np.float64),
-                   dim=dim, max_tokens=max_tokens)
+        """Hash a split in one pass: the key row * dim + column of each kept
+        token, then one ``np.unique`` over all keys gives the rows' strictly
+        increasing ids and their counts, kept as int32 and float32."""
+        if dim <= 0 or dim & (dim - 1):
+            raise ValueError(f"dim must be a power of two, got {dim}")
+        if dim > 2 ** 31:
+            raise ValueError(f"dim must be at most 2**31 (int32 feature ids), got {dim}")
+        keys = array("q")
+        for row, ex in enumerate(dataset.examples):
+            offset = row * dim
+            keys.extend([offset + col for col in featurize(ex, dim, max_tokens)])
+        keys, counts = np.unique(np.frombuffer(keys, dtype=np.int64), return_counts=True)
+        rows_start = np.arange(len(dataset) + 1, dtype=np.int64) * dim
+        return cls(indptr=np.searchsorted(keys, rows_start),
+                   flat_indices=(keys & (dim - 1)).astype(np.int32),
+                   flat_values=counts.astype(np.float32), dim=dim, max_tokens=max_tokens)
 
     def take(self, rows) -> "FeatureMatrix":
         """The given rows, in the given order (repeats allowed)."""
@@ -159,7 +147,7 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
 class SparseGrads:
     """Gradient of the mean batch loss, restricted to the touched columns."""
 
-    cols: np.ndarray         # unique touched feature ids
+    cols: np.ndarray         # unique touched feature ids, in the batch's id dtype
     weight_vals: np.ndarray  # (C, len(cols))
     bias: np.ndarray         # (C,)
 
@@ -243,9 +231,8 @@ class OptimizerState:
             state.v_b = np.zeros_like(model.bias)
         return state
 
-    def effective_lr(self, t: int | None = None) -> float:
-        t = self.t if t is None else t
-        return self.base_lr * max(0.0, 1.0 - t / self.total_steps)
+    def effective_lr(self) -> float:
+        return self.base_lr * max(0.0, 1.0 - self.t / self.total_steps)
 
 
 # Past this share of live columns, gathering and scattering them costs about

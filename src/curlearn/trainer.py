@@ -366,8 +366,8 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     if config.rescore:
         rescore_ds, rescore_feats, initial = ((val_ds, feats_val, val_table) if rescore_val
                                               else (train_ds, feats_train, score_table))
-        histograms = rescore_analysis(snapshots, rescore_ds, initial_table=initial,
-                                      bins=config.histogram_bins, feats=rescore_feats)
+        histograms = rescore_analysis(snapshots, rescore_ds, rescore_feats, initial_table=initial,
+                                      bins=config.histogram_bins)
     report = RunReport(
         strategy=strategy.value, seed=seed, epochs=config.epochs,
         batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
@@ -376,14 +376,14 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     return TrainOutcome(report=report, best_model=best_model, score_table=score_table)
 
 
-def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | None = None,
-                     bins: int = 20, feats: FeatureMatrix | None = None) -> list[HistogramReport]:
+def rescore_analysis(snapshots, dataset: Dataset, feats: FeatureMatrix,
+                     initial_table: ScoreTable | None = None,
+                     bins: int = 20) -> list[HistogramReport]:
     """Score histograms per training epoch, split by prediction correctness.
 
     Epoch 0 comes from ``initial_table`` (the scores taken before training)
-    when given; snapshot k produces the epoch-(k+1) report. ``feats`` is the
-    dataset's prebuilt FeatureMatrix; it is built uncapped on first use when
-    omitted.
+    when given; snapshot k produces the epoch-(k+1) report from its logits on
+    ``feats``, the dataset's FeatureMatrix as the run built it.
     """
     if not snapshots and initial_table is None:
         raise ValueError("no snapshots or initial table to analyze")
@@ -394,8 +394,6 @@ def rescore_analysis(snapshots, dataset: Dataset, initial_table: ScoreTable | No
         preds = np.argmax(sub.distributions, axis=1)
         reports.append(score_histogram(sub, preds, labels, bins=bins, epoch_tag=0))
     for k, model in enumerate(snapshots):
-        if feats is None:
-            feats = FeatureMatrix.build(dataset, model.dim)
         probs = probabilities(feats.logits(model))
         table = score_dataset(probs, dataset)
         preds = np.argmax(probs, axis=1)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from curlearn import samplers
 from curlearn.samplers import (Strategy, baseline_plan, make_plan, partitioned_plan,
                                probability_plan, rank_weights, sequential_plan,
                                weighted_permutation, write_plan_jsonl)
@@ -475,3 +477,47 @@ def test_plan_is_a_permutation_for_random_sizes_batches_and_splits(strategy):
         assert sorted(plan.order.tolist()) == list(range(n)), (n, batch_size, b1)
         assert len(plan.batch_provenance) == n
         assert sum(len(b) for b in plan.batches()) == n
+
+
+# ------------------------------------------------------------- mutation check
+
+# Each faulty sampler is one edit to the source of a curlearn.samplers
+# function: (function, original text, faulty text).
+SAMPLER_MUTANTS = {
+    "B1-B2-laws-swapped": (
+        "partitioned_plan",
+        'races = {"B1": iter(square.tolist()), "B2": iter(complement.tolist())}',
+        'races = {"B1": iter(complement.tolist()), "B2": iter(square.tolist())}'),
+    "cursor-takes-used-positions": ("partitioned_plan", "if not used[pos]:", "if True:"),
+    "ranks-off-by-one": ("rank_weights", "np.arange(1, N + 1,", "np.arange(2, N + 2,"),
+    "zero-weights-not-last": ("weighted_permutation", "np.full(len(w), np.inf)",
+                              "np.zeros(len(w))"),
+    "ties-by-descending-id": ("weighted_permutation", "np.lexsort((ids, arrivals))",
+                              "np.lexsort((-ids, arrivals))"),
+}
+
+LAW_TESTS = ["test_square_law_n3", "test_complement_law_n3",
+             "test_forced_draw_and_zero_weight_rule",
+             "test_zero_weight_tail_in_ascending_id_order",
+             "test_partitioned_full_batches_carry_9_then_7_tags",
+             "test_b2_race_alone_at_n1_gives_the_one_id",
+             "test_b2_race_at_n2_puts_the_zero_weight_rank_last"]
+
+
+@pytest.mark.parametrize("mutant", SAMPLER_MUTANTS)
+def test_law_tests_catch_a_faulty_sampler(mutant, monkeypatch):
+    name, original, faulty = SAMPLER_MUTANTS[mutant]
+    source = inspect.getsource(getattr(samplers, name))
+    assert source.count(original) == 1, "the mutant no longer matches the source"
+    namespace = dict(vars(samplers))
+    exec(compile(source.replace(original, faulty), samplers.__file__, "exec"), namespace)
+    monkeypatch.setattr(samplers, name, namespace[name])
+    if name in globals():  # law tests that call the function by its imported name
+        monkeypatch.setitem(globals(), name, namespace[name])
+    caught = []
+    for law in LAW_TESTS:
+        try:
+            globals()[law]()
+        except AssertionError:
+            caught.append(law)
+    assert caught, f"no law test fails under {mutant}"

@@ -229,7 +229,7 @@ def test_histogram_csv_roundtrip(tmp_path):
     rep = score_histogram(table, predictions=[0, 1, 0, 1], labels=[0, 0, 0, 1],
                           bins=4, epoch_tag=2)
     path = tmp_path / "hist.csv"
-    write_histogram_csv(rep, path)
+    write_histogram_csv([rep], path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4

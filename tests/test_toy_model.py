@@ -1,12 +1,14 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from curlearn import toy_model
-from curlearn.dataset_io import Dataset, Example
+from curlearn.dataset_io import Dataset, Example, tokenize
 from curlearn.scoring import score_dataset
-from curlearn.toy_model import (FeatureMatrix, FeatureVector, LinearModel, OptimizerState,
+from curlearn.toy_model import (FeatureMatrix, LinearModel, OptimizerState,
                                 build_probe_scorer, featurize, loss_and_grad,
                                 optimizer_step, probabilities)
 from curlearn.trainer import compute_metrics, evaluate
@@ -18,50 +20,109 @@ DIM = 2 ** 10
 # ---------------------------------------------------------------- featurize
 
 
+def reference_featurize(example, dim, max_tokens=None):
+    """The per-example Counter/sorted featurization FeatureMatrix.build
+    replaced: (strictly increasing ids, counts) of one example."""
+    tokens = [f"p:{t}" for t in tokenize(example.text)]
+    if example.text_pair is not None:
+        tokens += [f"h:{t}" for t in tokenize(example.text_pair)]
+    if max_tokens is not None:
+        tokens = tokens[:max_tokens]
+    counts = Counter(toy_model._hash_token(t) & (dim - 1) for t in tokens)
+    idx = np.array(sorted(counts), dtype=np.int64)
+    return idx, np.array([counts[i] for i in idx], dtype=np.float64)
+
+
+def build_one(example, dim, max_tokens=None):
+    """A one-row FeatureMatrix of ``example``."""
+    return FeatureMatrix.build(Dataset(examples=[example], class_count=2), dim, max_tokens)
+
+
 def test_featurize_counts_repeated_tokens():
-    fv = featurize(Example(id=0, text="a a b", label=0), DIM)
-    assert len(fv) == 2
-    assert sorted(fv.values.tolist()) == [1.0, 2.0]
-    assert np.all(np.diff(fv.indices) > 0)
+    cols = featurize(Example(id=0, text="a a b", label=0), DIM)
+    assert len(cols) == 3 and cols[0] == cols[1] != cols[2]
+    row = build_one(Example(id=0, text="a a b", label=0), DIM)
+    assert row.indptr.tolist() == [0, 2]
+    assert sorted(row.flat_values.tolist()) == [1.0, 2.0]
+    assert np.all(np.diff(row.flat_indices) > 0)
 
 
 def test_featurize_deterministic():
     ex = Example(id=0, text="Stable hashing please", label=0)
-    a, b = featurize(ex, DIM), featurize(ex, DIM)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.values, b.values)
+    assert featurize(ex, DIM) == featurize(ex, DIM)
 
 
 def test_featurize_namespaces_premise_and_hypothesis():
-    fv = featurize(Example(id=0, text="a", label=0, text_pair="a"), DIM)
-    assert len(fv) == 2
-    assert fv.values.tolist() == [1.0, 1.0]
+    cols = featurize(Example(id=0, text="a", label=0, text_pair="a"), DIM)
+    assert len(cols) == 2 and cols[0] != cols[1]
 
 
 def test_featurize_empty_text():
-    fv = featurize(Example(id=0, text="", label=0), DIM)
-    assert len(fv) == 0
+    assert featurize(Example(id=0, text="", label=0), DIM) == []
+    row = build_one(Example(id=0, text="", label=0), DIM)
+    assert row.indptr.tolist() == [0, 0] and len(row.flat_indices) == 0
 
 
 def test_featurize_rejects_non_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
-        featurize(Example(id=0, text="a", label=0), 1000)
+        build_one(Example(id=0, text="a", label=0), 1000)
+
+
+def test_build_rejects_dim_past_int32_ids():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        build_one(Example(id=0, text="a", label=0), 2 ** 32)
+    assert build_one(Example(id=0, text="a", label=0), 2 ** 31).flat_indices.dtype == np.int32
 
 
 def test_featurize_max_tokens_truncates():
-    full = featurize(Example(id=0, text="a b c d", label=0), DIM)
-    capped = featurize(Example(id=0, text="a b c d", label=0), DIM, max_tokens=2)
-    assert capped.values.sum() == 2
-    assert full.values.sum() == 4
+    ex = Example(id=0, text="a b c d", label=0)
+    assert len(featurize(ex, DIM)) == 4
+    assert featurize(ex, DIM, max_tokens=2) == featurize(ex, DIM)[:2]
+    assert build_one(ex, DIM, max_tokens=2).flat_values.sum() == 2
 
 
-def csr(vectors, dim):
-    """A FeatureMatrix holding the given FeatureVectors as its rows."""
-    indptr = np.concatenate([[0], np.cumsum([len(v) for v in vectors])]).astype(np.int64)
+def _random_text(rng, vocab):
+    words = [str(w) for w in rng.choice(vocab, size=int(rng.integers(0, 12)))]
+    return " ".join(words)
+
+
+def test_build_matches_per_example_reference():
+    # a small vocabulary repeats tokens, and dim 8 makes distinct tokens collide
+    rng = np.random.default_rng(21)
+    vocab = ["a", "b", "the", "cat", "don't", "it's", "x1", "!!", "...", "(?)", "-",
+             "Zebra,", "quick.", "naïve", "日本"]
+    fixed = [Example(id=0, text="", label=0), Example(id=1, text="!! ... (?)", label=0),
+             Example(id=2, text="a a a b", label=0, text_pair="a b b"),
+             Example(id=3, text="", label=0, text_pair="")]
+    collisions = 0
+    for trial in range(60):
+        n = 1 if trial % 10 == 0 else int(rng.integers(1, 30))
+        examples = [Example(id=i, text=_random_text(rng, vocab), label=0,
+                            text_pair=_random_text(rng, vocab) if rng.random() < 0.5 else None)
+                    for i in range(n)]
+        if trial % 10 != 0:
+            examples += [replace(ex, id=n + k) for k, ex in enumerate(fixed)]
+        ds = Dataset(examples=examples, class_count=2)
+        dim, max_tokens = [8, 64, 2 ** 16][trial % 3], [None, 1, 3, 100][trial % 4]
+        want = csr([reference_featurize(ex, dim, max_tokens) for ex in examples], dim)
+        if dim == 8:
+            collisions += sum(len(set(featurize(ex, 2 ** 16, max_tokens)))
+                              > len(set(featurize(ex, dim, max_tokens))) for ex in examples)
+        got = FeatureMatrix.build(ds, dim, max_tokens)
+        assert (got.dim, got.max_tokens, got.n_rows) == (dim, max_tokens, len(examples))
+        assert got.flat_indices.dtype == np.int32 and got.flat_values.dtype == np.float32
+        for name in ("indptr", "flat_indices", "flat_values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (trial, name)
+    assert collisions > 0
+
+
+def csr(rows, dim):
+    """A FeatureMatrix holding the given (indices, values) pairs as its rows."""
+    indptr = np.concatenate([[0], np.cumsum([len(idx) for idx, _ in rows])]).astype(np.int64)
     return FeatureMatrix(
         indptr=indptr,
-        flat_indices=np.concatenate([np.empty(0, np.int64)] + [v.indices for v in vectors]),
-        flat_values=np.concatenate([np.empty(0)] + [v.values for v in vectors]),
+        flat_indices=np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in rows]),
+        flat_values=np.concatenate([np.empty(0)] + [vals for _, vals in rows]),
         dim=dim, max_tokens=None)
 
 
@@ -70,13 +131,13 @@ def csr(vectors, dim):
 
 def test_forward_zero_model_gives_zero_logits():
     model = LinearModel.zeros(3, DIM)
-    feats = csr([featurize(Example(id=0, text="x y z", label=0), DIM)], DIM)
+    feats = csr([reference_featurize(Example(id=0, text="x y z", label=0), DIM)], DIM)
     assert feats.logits(model).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_forward_single_feature():
     model = LinearModel.zeros(2, DIM)
-    feats = csr([FeatureVector(indices=np.array([7]), values=np.array([3.0]))], DIM)
+    feats = csr([(np.array([7]), np.array([3.0]))], DIM)
     model.weights[0, 7] = 0.5
     model.bias[0] = 0.25
     logits = feats.logits(model)[0]
@@ -93,9 +154,8 @@ def test_forward_matches_dense_matmul_oracle():
         for row in dense:
             k = int(rng.integers(0, 10))
             idx = np.sort(rng.choice(D, size=k, replace=False)).astype(np.int64)
-            vectors.append(FeatureVector(indices=idx,
-                                         values=rng.integers(1, 4, size=k).astype(float)))
-            row[idx] = vectors[-1].values
+            vectors.append((idx, rng.integers(1, 4, size=k).astype(float)))
+            row[idx] = vectors[-1][1]
         assert csr(vectors, D).logits(model) == pytest.approx(dense @ model.weights.T
                                                              + model.bias)
 
@@ -103,7 +163,7 @@ def test_forward_matches_dense_matmul_oracle():
 def test_forward_rejects_out_of_range_index():
     # a matrix hashed for a wider model holds ids past this model's columns
     model = LinearModel.zeros(2, 8)
-    feats = csr([FeatureVector(indices=np.array([9]), values=np.array([1.0]))], 16)
+    feats = csr([(np.array([9]), np.array([1.0]))], 16)
     with pytest.raises(ValueError, match="dim"):
         feats.logits(model)
 
@@ -182,7 +242,7 @@ def _random_instance(rng, dim=64):
         k = int(rng.integers(1, 8))
         idx = np.sort(rng.choice(dim, size=k, replace=False)).astype(np.int64)
         vals = rng.integers(1, 4, size=k).astype(float)
-        vectors.append(FeatureVector(indices=idx, values=vals))
+        vectors.append((idx, vals))
         labels.append(int(rng.integers(C)))
     return model, csr(vectors, dim), np.array(labels)
 
@@ -251,9 +311,8 @@ def test_gradient_matches_per_example_reference_bit_for_bit():
         for _ in range(int(rng.integers(1, 40))):
             k = int(rng.integers(0, min(pool, 9) + 1))
             idx = np.sort(rng.choice(pool, size=k, replace=False)).astype(np.int64)
-            vectors.append(FeatureVector(indices=idx,
-                                         values=rng.integers(1, 5, size=k).astype(float)))
-        vectors[0] = FeatureVector(indices=np.empty(0, np.int64), values=np.empty(0))
+            vectors.append((idx, rng.integers(1, 5, size=k).astype(float)))
+        vectors[0] = (np.empty(0, np.int64), np.empty(0))
         feats = csr(vectors, D)
         rows = rng.integers(0, len(vectors), size=int(rng.integers(1, 33)))
         rows[-1] = rows[0]  # a row repeated within the batch
@@ -268,9 +327,42 @@ def test_gradient_matches_per_example_reference_bit_for_bit():
         assert np.array_equal(grads.bias, gb)
 
 
+def test_narrow_built_matrix_gives_the_bits_of_its_wide_cast():
+    # build stores int32 ids and float32 counts; small counts widen exactly
+    rng = np.random.default_rng(8)
+    examples = [Example(id=i, text=" ".join(f"t{rng.integers(30)}"
+                                            for _ in range(int(rng.integers(0, 20)))),
+                        label=int(rng.integers(3))) for i in range(60)]
+    ds = Dataset(examples=examples, class_count=3)
+    narrow = FeatureMatrix.build(ds, 64)
+    assert narrow.flat_indices.dtype == np.int32 and narrow.flat_values.dtype == np.float32
+    assert narrow.flat_values.max() > 1
+    wide = replace(narrow, flat_indices=narrow.flat_indices.astype(np.int64),
+                   flat_values=narrow.flat_values.astype(np.float64))
+    model = LinearModel(weights=rng.normal(size=(3, 64)), bias=rng.normal(size=3))
+    assert np.array_equal(narrow.logits(model), wide.logits(model))
+    models = [model, model.copy()]
+    states = [OptimizerState.for_model(m, total_steps=20) for m in models]
+    for _ in range(10):
+        rows = rng.integers(0, len(ds), size=16)
+        (loss_n, grads_n), (loss_w, grads_w) = (
+            loss_and_grad(model, feats.take(rows), ds.labels[rows])
+            for model, feats in ((models[0], narrow), (models[1], wide)))
+        assert loss_n == loss_w
+        assert np.array_equal(grads_n.cols, grads_w.cols)
+        assert np.array_equal(grads_n.weight_vals, grads_w.weight_vals)
+        assert np.array_equal(grads_n.bias, grads_w.bias)
+        optimizer_step(models[0], grads_n, states[0])
+        optimizer_step(models[1], grads_w, states[1])
+    assert np.array_equal(models[0].weights, models[1].weights)
+    live = states[0].live_cols
+    assert live.dtype == np.int64 and np.all(np.diff(live) > 0)
+    assert np.array_equal(live, states[1].live_cols)
+
+
 def test_zero_model_binary_loss_is_ln2():
     model = LinearModel.zeros(2, DIM)
-    fv = featurize(Example(id=0, text="hello world", label=0), DIM)
+    fv = reference_featurize(Example(id=0, text="hello world", label=0), DIM)
     loss, _ = loss_and_grad(model, csr([fv, fv], DIM), [0, 1])
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
@@ -278,7 +370,7 @@ def test_zero_model_binary_loss_is_ln2():
 def test_confident_correct_model_loss_near_zero():
     model = LinearModel.zeros(2, 8)
     model.weights[1, 3] = 50.0
-    fv = FeatureVector(indices=np.array([3]), values=np.array([1.0]))
+    fv = (np.array([3]), np.array([1.0]))
     loss, _ = loss_and_grad(model, csr([fv], 8), [1])
     assert loss < 1e-8
 
@@ -336,10 +428,13 @@ def test_schedule_reaches_zero_update_at_total_steps():
 
 def test_linear_schedule_values():
     state = OptimizerState(kind="sgd", base_lr=0.1, total_steps=10)
-    assert state.effective_lr(0) == pytest.approx(0.1)
-    assert state.effective_lr(5) == pytest.approx(0.05)
-    assert state.effective_lr(10) == 0.0
-    assert state.effective_lr(12) == 0.0
+    assert state.effective_lr() == pytest.approx(0.1)
+    state.t = 5
+    assert state.effective_lr() == pytest.approx(0.05)
+    state.t = 10
+    assert state.effective_lr() == 0.0
+    state.t = 12
+    assert state.effective_lr() == 0.0
 
 
 def test_adamw_decoupled_weight_decay_shrinks_parameters():
@@ -459,8 +554,8 @@ def test_predict_matches_argmax_oracle():
     ds = Dataset(examples=examples, class_count=4)
     oracle = []
     for ex in examples:
-        fv = featurize(ex, DIM)
-        oracle.append(int(np.argmax(model.weights[:, fv.indices] @ fv.values + model.bias)))
+        idx, vals = reference_featurize(ex, DIM)
+        oracle.append(int(np.argmax(model.weights[:, idx] @ vals + model.bias)))
     metrics, _ = evaluate(model, ds)
     assert metrics == compute_metrics(oracle, ds.labels, 4)
 

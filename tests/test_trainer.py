@@ -8,7 +8,7 @@ from curlearn.dataset_io import Dataset, Example
 from curlearn.samplers import Strategy
 from curlearn.scoring import rank_examples
 from curlearn.synthetic import make_separable_corpus
-from curlearn.toy_model import LinearModel
+from curlearn.toy_model import FeatureMatrix, LinearModel
 from curlearn.trainer import (TrainConfig, aggregate_runs, checkpoint_steps,
                               compute_metrics, evaluate, few_shot_select,
                               rescore_analysis, run_training,
@@ -311,7 +311,7 @@ def test_few_shot_rejects_bad_k():
 
 def test_rescore_epoch_zero_counts_conserved():
     ds, table = dataset_from_scores(np.linspace(0, 1, 30))
-    reports = rescore_analysis([], ds, initial_table=table, bins=5)
+    reports = rescore_analysis([], ds, FeatureMatrix.build(ds, DIM), initial_table=table, bins=5)
     assert len(reports) == 1
     assert reports[0].epoch_tag == 0
     assert int(reports[0].total_counts.sum()) == 30
@@ -320,7 +320,8 @@ def test_rescore_epoch_zero_counts_conserved():
 def test_rescore_zero_model_snapshot_all_mass_in_lowest_bin():
     ds, table = dataset_from_scores(np.linspace(0, 1, 10))
     snapshot = LinearModel.zeros(2, DIM)
-    reports = rescore_analysis([snapshot], ds, initial_table=table, bins=4)
+    reports = rescore_analysis([snapshot], ds, FeatureMatrix.build(ds, DIM), initial_table=table,
+                               bins=4)
     post = reports[1]
     assert post.epoch_tag == 1
     assert int(post.total_counts[0]) == 10
@@ -330,7 +331,7 @@ def test_rescore_zero_model_snapshot_all_mass_in_lowest_bin():
 def test_rescore_requires_something_to_analyze():
     ds, _ = dataset_from_scores([0.1, 0.2])
     with pytest.raises(ValueError, match="no snapshots"):
-        rescore_analysis([], ds, initial_table=None)
+        rescore_analysis([], ds, FeatureMatrix.build(ds, DIM), initial_table=None)
 
 
 def test_rescore_after_training_raises_mean_score():
