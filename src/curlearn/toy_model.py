@@ -32,14 +32,35 @@ def _hash_token(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def featurize(example: Example, dim: int, max_tokens: int | None = None) -> list[int]:
-    """The hashed column in [0, ``dim``) of each kept token, in token order."""
-    tokens = [f"p:{t}" for t in tokenize(example.text)]
+def featurize(example: Example, dim: int, max_tokens: int | None = None,
+              memo: dict[str, int] | None = None) -> list[int]:
+    """The hashed column in [0, ``dim``) of each kept token, in token order.
+
+    ``memo`` maps each prefixed raw whitespace piece ("p:" or "h:" plus a
+    piece of the lowercased text) to its column, or to -1 for a piece that
+    is punctuation only. Pass one dict to every call for a split (and one
+    ``dim``) to strip and hash each distinct piece once.
+    """
+    if memo is None:
+        memo = {}
+    cols = _piece_columns("p:", example.text, dim, memo)
     if example.text_pair is not None:
-        tokens += [f"h:{t}" for t in tokenize(example.text_pair)]
-    if max_tokens is not None:
-        tokens = tokens[:max_tokens]
-    return [_hash_token(t) & (dim - 1) for t in tokens]
+        cols += _piece_columns("h:", example.text_pair, dim, memo)
+    return cols[:max_tokens]
+
+
+def _piece_columns(prefix: str, text: str, dim: int, memo: dict[str, int]) -> list[int]:
+    cols = []
+    for raw in text.lower().split():
+        key = prefix + raw
+        col = memo.get(key)
+        if col is None:
+            # a piece holds no whitespace, so tokenize gives at most one token
+            token = tokenize(raw)
+            col = memo[key] = _hash_token(prefix + token[0]) & (dim - 1) if token else -1
+        if col >= 0:
+            cols.append(col)
+    return cols
 
 
 @dataclass
@@ -92,22 +113,31 @@ class FeatureMatrix:
 
     @classmethod
     def build(cls, dataset: Dataset, dim: int, max_tokens: int | None = None):
-        """Hash a split in one pass: the key row * dim + column of each kept
-        token, then one ``np.unique`` over all keys gives the rows' strictly
-        increasing ids and their counts, kept as int32 and float32."""
+        """Hash a split in one pass, each distinct piece once: the key
+        row * dim + column of each kept token, sorted in place, gives the
+        rows' strictly increasing ids (int32) and their counts (float32)."""
         if dim <= 0 or dim & (dim - 1):
             raise ValueError(f"dim must be a power of two, got {dim}")
         if dim > 2 ** 31:
             raise ValueError(f"dim must be at most 2**31 (int32 feature ids), got {dim}")
         keys = array("q")
+        memo: dict[str, int] = {}
         for row, ex in enumerate(dataset.examples):
             offset = row * dim
-            keys.extend([offset + col for col in featurize(ex, dim, max_tokens)])
-        keys, counts = np.unique(np.frombuffer(keys, dtype=np.int64), return_counts=True)
-        rows_start = np.arange(len(dataset) + 1, dtype=np.int64) * dim
-        return cls(indptr=np.searchsorted(keys, rows_start),
-                   flat_indices=(keys & (dim - 1)).astype(np.int32),
-                   flat_values=counts.astype(np.float32), dim=dim, max_tokens=max_tokens)
+            keys.extend([offset + col for col in featurize(ex, dim, max_tokens, memo)])
+        del memo
+        keys = np.frombuffer(keys, dtype=np.int64)
+        keys.sort()  # in place, in the array's own buffer
+        run_start = np.empty(len(keys), dtype=bool)
+        run_start[:1] = True  # a split without tokens has no run to start
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        first = np.flatnonzero(run_start)
+        counts = np.diff(first, append=len(keys)).astype(np.float32)
+        keys = keys[first]
+        indptr = np.searchsorted(keys, np.arange(len(dataset) + 1, dtype=np.int64) * dim)
+        keys &= dim - 1
+        return cls(indptr=indptr, flat_indices=keys.astype(np.int32), flat_values=counts,
+                   dim=dim, max_tokens=max_tokens)
 
     def take(self, rows) -> "FeatureMatrix":
         """The given rows, in the given order (repeats allowed)."""

@@ -305,12 +305,26 @@ def test_partitioned_plan_matches_successive_draw_oracle_by_enumeration(N, batch
         else:
             assert abs(emp - p) < 5.5 * math.sqrt(p * (1 - p) / trials) + 1e-4
 
-    # One chi-square over every possible sequence, at a family-wise alpha of
-    # 1e-6 over both cases (Bonferroni: 5e-7 each). Cells expected fewer than
-    # 5 times are pooled into one bin, as the chi-square approximation needs.
     possible = [seq for seq, p in expected.items() if p > 0]
     want = np.array([expected[seq] * trials for seq in possible])
     got = np.array([counts.get(seq, 0) for seq in possible])
+
+    # An exact two-sided binomial tail per possible sequence (twice the
+    # smaller tail), at a family-wise alpha of 1e-6, Bonferroni over the
+    # 600 + 72 possible sequences of both cases. Unlike the z bound above it
+    # needs no normal approximation, which is poor for cells expected about
+    # 50 times.
+    assert len(possible) == {"111122": 600, "12121": 72}[laws]
+    cell_p = [expected[seq] for seq in possible]
+    tail = np.minimum(stats.binom.cdf(got, trials, cell_p),
+                      stats.binom.sf(got - 1, trials, cell_p))
+    cell_p_value = np.minimum(1.0, 2 * tail)
+    assert cell_p_value.min() > 1e-6 / (600 + 72), (cell_p_value.min(),
+                                                   possible[int(cell_p_value.argmin())])
+
+    # One chi-square over every possible sequence, at a family-wise alpha of
+    # 1e-6 over both cases (Bonferroni: 5e-7 each). Cells expected fewer than
+    # 5 times are pooled into one bin, as the chi-square approximation needs.
     small = want < 5
     if small.any():
         want = np.append(want[~small], want[small].sum())

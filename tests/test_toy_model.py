@@ -116,6 +116,40 @@ def test_build_matches_per_example_reference():
     assert collisions > 0
 
 
+def test_build_with_the_piece_memo_matches_the_reference():
+    dim, max_tokens = 2 ** 20, 6
+    examples = [
+        # pieces "--" and "!!!" drop and do not count toward the cap of 6,
+        # which falls inside the pair text, after its "great" and "word"
+        Example(id=0, text="Great great! (great) -- Word", label=0,
+                text_pair="!!! great WORD ΟΔΟΣ, great"),
+        Example(id=1, text="!!! -- ...", label=1),
+        Example(id=2, text="ΟΔΟΣ, οδος (Οδος)", label=0, text_pair="--"),
+        Example(id=3, text="word", label=1, text_pair="great!"),
+    ]
+    got = FeatureMatrix.build(Dataset(examples=examples, class_count=2), dim, max_tokens)
+    want = csr([reference_featurize(ex, dim, max_tokens) for ex in examples], dim)
+    for name in ("indptr", "flat_indices", "flat_values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def col(token):
+        return toy_model._hash_token(token) & (dim - 1)
+
+    rows = [dict(zip(got.flat_indices[a:b].tolist(), got.flat_values[a:b].tolist()))
+            for a, b in zip(got.indptr[:-1], got.indptr[1:])]
+    assert col("p:great") != col("h:great") and col("p:word") != col("h:word")
+    assert rows == [{col("p:great"): 3, col("p:word"): 1, col("h:great"): 1, col("h:word"): 1},
+                    {},
+                    {col("p:οδος"): 3},
+                    {col("p:word"): 1, col("h:great"): 1}]
+
+    memo = {}
+    for ex in examples:
+        assert featurize(ex, dim, max_tokens, memo) == featurize(ex, dim, max_tokens)
+    assert memo["p:(great)"] == memo["p:great!"] == col("p:great")
+    assert memo["p:--"] == memo["h:!!!"] == -1
+
+
 def csr(rows, dim):
     """A FeatureMatrix holding the given (indices, values) pairs as its rows."""
     indptr = np.concatenate([[0], np.cumsum([len(idx) for idx, _ in rows])]).astype(np.int64)

@@ -29,3 +29,20 @@ def test_traced_name_resolves(layer, name):
 def test_feature_matrix_build_is_a_classmethod():
     from curlearn.toy_model import FeatureMatrix
     assert isinstance(FeatureMatrix.__dict__["build"], classmethod)
+
+
+def test_feature_matrix_build_calls_featurize_once_per_row(monkeypatch):
+    # toy_model.featurize_calls and featurize_us_per_example count these calls
+    from curlearn import toy_model
+    from curlearn.dataset_io import Dataset, Example
+    rows = []
+    real = toy_model.featurize
+
+    def counting(example, *args):
+        rows.append(example.id)
+        return real(example, *args)
+
+    monkeypatch.setattr(toy_model, "featurize", counting)
+    examples = [Example(id=i, text=f"w{i % 3} shared", label=i % 2) for i in range(7)]
+    toy_model.FeatureMatrix.build(Dataset(examples=examples, class_count=2), 64)
+    assert rows == list(range(7))
