@@ -392,13 +392,14 @@ def cmd_score(args) -> int:
     _check_out_file(args.out, args.force)
     table, _ = resolve_score_table(dataset, train_config(settings))
     order = np.argsort(table.ids, kind="stable")
+    # json.dumps's bytes: it writes floats with float.__repr__, and every value
+    # is finite (score_dataset and read_score_file check the rows)
     with open_atomic(args.out, encoding="utf-8") as fh:
-        for row in order:
-            fh.write(json.dumps({
-                "id": int(table.ids[row]),
-                "probs": [float(p) for p in table.distributions[row]],
-                "score": float(table.scores[row]),
-            }) + "\n")
+        fh.writelines(
+            f'{{"id": {rid}, "probs": [{", ".join(map(repr, probs))}], "score": {score!r}}}\n'
+            for rid, probs, score in zip(table.ids[order].tolist(),
+                                         table.distributions[order].tolist(),
+                                         table.scores[order].tolist()))
     write_manifest(str(args.out) + ".manifest.json", settings,
                    [args.dataset, settings["scores.path"], args.config])
     return 0

@@ -9,7 +9,9 @@ File formats (one record = one example):
 
 External score files are JSONL records ``{"id": int, "probs": [C floats]}``;
 prediction files are JSONL records ``{"id", "predicted_label", "gold_label"}``.
-Every writer in the package goes through ``open_atomic``.
+Every JSONL reader takes one JSON value per non-blank line, as ``json.loads``
+takes it (``_jsonl_values``). Every writer in the package goes through
+``open_atomic``.
 """
 
 from __future__ import annotations
@@ -178,21 +180,44 @@ def load_dataset(
     return Dataset(examples=examples, class_count=class_count, split_tag=split_tag)
 
 
-def _read_jsonl_records(path):
-    records = []
+# JSON's own whitespace; str.strip() would also take NBSP, form feed and the
+# like, which json.loads refuses. Only the start of a line is skipped before
+# parsing: stripping its end too would change json.loads's message for a
+# string left open at the end of the line.
+_JSON_WS = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _jsonl_values(path):
+    """Yield ``(line_no, value)`` for each non-blank line of a JSONL file.
+
+    Every such line must hold exactly one JSON value, as ``json.loads``
+    takes it; anything else raises a DatasetFormatError naming the file,
+    the line and json.loads's message.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                value, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_WS)))
+                if line[end:].strip(_JSON_WS):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as err:
+                msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                       if line.startswith("\ufeff") else err.msg)
                 raise DatasetFormatError(
-                    f"{path}: malformed JSON at line {line_no}: {err.msg}") from None
-            if not isinstance(rec, dict):
-                raise DatasetFormatError(
-                    f"{path}: malformed record at line {line_no}: not an object")
-            records.append((line_no, rec))
+                    f"{path}: malformed JSON at line {line_no}: {msg}") from None
+            yield line_no, value
+
+
+def _read_jsonl_records(path):
+    records = []
+    for line_no, rec in _jsonl_values(path):
+        if not isinstance(rec, dict):
+            raise DatasetFormatError(
+                f"{path}: malformed record at line {line_no}: not an object")
+        records.append((line_no, rec))
     return records
 
 
@@ -294,40 +319,32 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
     """
     ids, rows, lines, epochs = [], [], [], set()
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetFormatError(
-                    f"{path}: malformed JSON at line {line_no}: {err.msg}") from None
-            if not isinstance(rec, dict) or "id" not in rec or "probs" not in rec:
-                raise DatasetFormatError(
-                    f"{path}: record at line {line_no} needs 'id' and 'probs'")
-            try:
-                rid = _integer(rec["id"])
-                if epoch_tags and "epoch" in rec:
-                    epochs.add(_integer(rec["epoch"]))
-                probs = [float(p) for p in rec["probs"]]
-            except (TypeError, ValueError):
-                raise DatasetFormatError(
-                    f"{path}: non-numeric id, epoch or probability at line {line_no}") from None
-            if rid in seen:
-                raise DatasetFormatError(f"{path}: duplicate id {rid} at line {line_no}")
-            if known_ids is not None and rid not in known_ids:
-                raise DatasetFormatError(f"{path}: unknown id {rid} at line {line_no}")
-            if class_count is None:
-                class_count = len(probs)
-            if len(probs) != class_count:
-                raise DatasetFormatError(
-                    f"{path}: probs length {len(probs)} != class_count {class_count} "
-                    f"for id {rid} at line {line_no}")
-            seen.add(rid)
-            ids.append(rid)
-            rows.append(probs)
-            lines.append(line_no)
+    for line_no, rec in _jsonl_values(path):
+        if not isinstance(rec, dict) or "id" not in rec or "probs" not in rec:
+            raise DatasetFormatError(
+                f"{path}: record at line {line_no} needs 'id' and 'probs'")
+        try:
+            rid = _integer(rec["id"])
+            if epoch_tags and "epoch" in rec:
+                epochs.add(_integer(rec["epoch"]))
+            probs = [float(p) for p in rec["probs"]]
+        except (TypeError, ValueError):
+            raise DatasetFormatError(
+                f"{path}: non-numeric id, epoch or probability at line {line_no}") from None
+        if rid in seen:
+            raise DatasetFormatError(f"{path}: duplicate id {rid} at line {line_no}")
+        if known_ids is not None and rid not in known_ids:
+            raise DatasetFormatError(f"{path}: unknown id {rid} at line {line_no}")
+        if class_count is None:
+            class_count = len(probs)
+        if len(probs) != class_count:
+            raise DatasetFormatError(
+                f"{path}: probs length {len(probs)} != class_count {class_count} "
+                f"for id {rid} at line {line_no}")
+        seen.add(rid)
+        ids.append(rid)
+        rows.append(probs)
+        lines.append(line_no)
     if not ids:
         raise DatasetFormatError(f"{path}: empty score file")
     if len(epochs) > 1:

@@ -49,6 +49,72 @@ def test_score_external_passthrough(tmp_path, splits):
     assert [r["id"] for r in records] == sorted(r["id"] for r in records)
 
 
+def json_dumps_score_lines(table) -> bytes:
+    """Reference writer: one json.dumps per record, as the score file was first written."""
+    return "".join(
+        json.dumps({"id": int(table.ids[row]),
+                    "probs": [float(p) for p in table.distributions[row]],
+                    "score": float(table.scores[row])}) + "\n"
+        for row in np.argsort(table.ids, kind="stable")
+    ).encode("utf-8")
+
+
+def capture_score_tables(monkeypatch):
+    from curlearn import cli
+    tables = []
+    real = cli.resolve_score_table
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        tables.append(result[0])
+        return result
+
+    monkeypatch.setattr(cli, "resolve_score_table", recording)
+    return tables
+
+
+# Rows whose sum is 1.0, so renormalizing keeps the awkward floats as they are;
+# -0.0 passes the negative-probability check.
+AWKWARD_ROWS = {
+    2: [[5e-324, 1.0], [0.1 + 0.2, 0.7], [1e-300, 1.0], [-0.0, 1.0], [1.0, 0.0],
+        [1 / 3, 2 / 3]],
+    3: [[5e-324, 1.0, 0.0], [0.1 + 0.2, 0.7, 0.0], [1e-300, -0.0, 1.0], [1.0, 0.0, 0.0],
+        [1 / 3, 1 / 3, 1 / 3], [0.25, 0.7, 0.05]],
+}
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_score_file_bytes_equal_json_dumps_per_record(tmp_path, monkeypatch, classes):
+    from curlearn.dataset_io import Dataset, Example
+    n = 40
+    dataset = tmp_path / "d.jsonl"
+    save_dataset(Dataset([Example(id=i, text=f"w{i}", label=i % classes) for i in range(n)],
+                         class_count=classes), dataset)
+    rng = np.random.default_rng(classes)
+    scores_in = tmp_path / "in.jsonl"
+    with open(scores_in, "w") as fh:
+        for i in rng.permutation(n).tolist():  # the writer sorts by id
+            probs = AWKWARD_ROWS[classes][i % len(AWKWARD_ROWS[classes])]
+            fh.write(json.dumps({"id": i, "probs": probs}) + "\n")
+    tables = capture_score_tables(monkeypatch)
+    out = tmp_path / "scores.jsonl"
+    rc = main(["score", "--dataset", str(dataset), "--classes", str(classes),
+               "--scores", str(scores_in), "--out", str(out)])
+    assert rc == 0
+    written = out.read_bytes()
+    assert written == json_dumps_score_lines(tables[0])
+    for token in (b"[5e-324, 1.0", b"[0.30000000000000004, ", b"[1e-300, ", b"-0.0, ",
+                  b"[1.0, 0.0"):
+        assert token in written
+
+
+def test_score_file_from_probe_bytes_equal_json_dumps_per_record(tmp_path, monkeypatch, splits):
+    tables = capture_score_tables(monkeypatch)
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--dataset", splits["train"], "--dim", DIM, "--out", str(out)]) == 0
+    assert out.read_bytes() == json_dumps_score_lines(tables[0])
+
+
 def test_score_probe_provider_contract(tmp_path, splits):
     out = tmp_path / "scores.jsonl"
     rc = main(["score", "--dataset", splits["train"], "--dim", DIM, "--out", str(out)])

@@ -379,6 +379,84 @@ def test_read_predictions_rejects_bad_records_with_line(tmp_path, record, messag
     assert str(err.value) == f"{path}: {message}"
 
 
+# ------------------------------------------------------------ one JSON value per line
+
+# One record every JSONL reader accepts: a dataset row, a score row and a prediction.
+RECORD = ('{"id": 0, "text": "a b", "label": 0, "probs": [0.25, 0.75], '
+          '"predicted_label": 1, "gold_label": 0}')
+
+JSONL_READERS = {
+    "load_dataset": lambda path: [vars(ex) for ex in load_dataset(path).examples],
+    "read_score_file": lambda path: [part.tolist() if hasattr(part, "tolist") else part
+                                     for part in read_score_file(path)],
+    "read_predictions": lambda path: read_predictions(path, 2),
+}
+
+
+def _read(reader, path):
+    """The reader's result, or its error message without the file name."""
+    try:
+        return "ok", JSONL_READERS[reader](path)
+    except DatasetFormatError as err:
+        return "error", str(err).replace(str(path), "<file>")
+
+
+@pytest.mark.parametrize("reader", list(JSONL_READERS))
+@pytest.mark.parametrize("line, blanks", [
+    pytest.param(RECORD + "\n", 2, id="plain"),
+    pytest.param(RECORD, 2, id="no-final-newline"),
+    pytest.param(RECORD + "\r\n", 2, id="crlf"),
+    pytest.param(" \t " + RECORD + "\t \t\n", 2, id="spaces-and-tabs"),
+    pytest.param(RECORD + " x\n", 2, id="trailing-garbage"),
+    pytest.param(RECORD + RECORD + "\n", 2, id="two-objects"),
+    pytest.param(RECORD + " " + RECORD + "\n", 2, id="two-objects-spaced"),
+    pytest.param(RECORD + ",\n", 2, id="trailing-comma"),
+    pytest.param("\f" + RECORD + "\n", 2, id="form-feed-before"),
+    pytest.param(RECORD + "\f\n", 2, id="form-feed-after"),
+    pytest.param("\v" + RECORD + "\n", 2, id="vertical-tab-before"),
+    pytest.param(RECORD + "\v\n", 2, id="vertical-tab-after"),
+    pytest.param("\xa0" + RECORD + "\n", 2, id="nbsp-before"),
+    pytest.param(RECORD + "\xa0\n", 2, id="nbsp-after"),
+    pytest.param("\u2028" + RECORD + "\n", 2, id="line-separator-before"),
+    pytest.param(RECORD + "\u2028\n", 2, id="line-separator-after"),
+    pytest.param("\ufeff" + RECORD + "\n", 0, id="bom-on-line-1"),
+    pytest.param("\ufeff" + RECORD + "\n", 2, id="bom-on-line-3"),
+    # parses, then the score reader's finite check rejects it
+    pytest.param(RECORD.replace("0.25", "NaN") + "\n", 2, id="nan-literal"),
+    pytest.param(RECORD.split("0.75")[0] + "\n", 2, id="array-left-open"),
+    # a reader that strips the line's end before parsing fails these two
+    pytest.param(RECORD.split(" b")[0] + "\n", 2, id="string-left-open"),
+    pytest.param(RECORD.split(" b")[0] + "\t\n", 2, id="string-left-open-tab"),
+    pytest.param('[0, "a b", 0]\n', 2, id="array-not-object"),
+])
+def test_jsonl_readers_take_one_value_per_line_as_json_loads(tmp_path, reader, line, blanks):
+    # binary writes keep "\r\n" and the BOM as given
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(("\n" * blanks + line).encode("utf-8"))
+    line_no = blanks + 1
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as err:
+        expected = ("error", f"<file>: malformed JSON at line {line_no}: {err.msg}")
+    else:
+        # the same value on the same line, written by json.dumps
+        canonical = tmp_path / "canonical.jsonl"
+        canonical.write_text("\n" * blanks + json.dumps(value) + "\n", encoding="utf-8")
+        expected = _read(reader, canonical)
+    assert _read(reader, path) == expected
+
+
+@pytest.mark.parametrize("reader", list(JSONL_READERS))
+def test_jsonl_readers_skip_lines_of_any_unicode_whitespace(tmp_path, reader):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(" \t\f\v\xa0\u2028\n\r\n\n{}\n".format(RECORD).encode("utf-8"))
+    canonical = tmp_path / "canonical.jsonl"
+    canonical.write_text(RECORD + "\n")
+    assert _read(reader, path) == _read(reader, canonical)
+    path.write_bytes(b"\n\n\n[]\n")
+    assert "at line 4" in _read(reader, path)[1]
+
+
 # ------------------------------------------------------------- atomic outputs
 
 

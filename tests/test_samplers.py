@@ -475,6 +475,31 @@ def test_plan_jsonl_dump(tmp_path):
     assert all(r["partition_tag"] in ("B1", "B2") for r in records)
 
 
+def json_dumps_plan_lines(plans) -> bytes:
+    """Reference writer: one json.dumps per position, as the plan file was first written."""
+    return "".join(
+        json.dumps({"epoch": epoch, "position": position, "example_id": int(ex_id),
+                    "partition_tag": str(tag)}) + "\n"
+        for epoch, plan in enumerate(plans)
+        for position, (ex_id, tag) in enumerate(zip(plan.order, plan.batch_provenance))
+    ).encode("utf-8")
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("batch_size, split", [(16, (9, 7)), (12, (5, 7))])
+def test_plan_jsonl_bytes_equal_json_dumps_per_record(tmp_path, strategy, batch_size, split):
+    rng = np.random.default_rng(5)
+    n = 203  # ragged at both batch sizes
+    ds, table = dataset_from_scores(rng.integers(0, 5, size=n) / 4)
+    lengths = rng.integers(1, 30, size=n)
+    plans = [make_plan(strategy, table, ds, rng=np.random.default_rng((11, epoch)),
+                       batch_size=batch_size, split=split, length_index=lengths)
+             for epoch in range(2)]
+    path = tmp_path / "plan.jsonl"
+    write_plan_jsonl(plans, path)
+    assert path.read_bytes() == json_dumps_plan_lines(plans)
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_plan_is_a_permutation_for_random_sizes_batches_and_splits(strategy):
     rng = np.random.default_rng(31)

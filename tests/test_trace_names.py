@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -10,12 +11,16 @@ import pytest
 BENCH_TRACE = Path(__file__).resolve().parent.parent / "curbench" / "bench_trace.py"
 
 
-def traced_names():
+def bench_trace():
     spec = importlib.util.spec_from_file_location("bench_trace_names", BENCH_TRACE)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
-    return [(layer, name) for layer, names in module.TRACED.items() for name in names]
+    return module
+
+
+def traced_names():
+    return [(layer, name) for layer, names in bench_trace().TRACED.items() for name in names]
 
 
 @pytest.mark.parametrize("layer, name", traced_names(), ids=lambda v: str(v))
@@ -46,3 +51,31 @@ def test_feature_matrix_build_calls_featurize_once_per_row(monkeypatch):
     examples = [Example(id=i, text=f"w{i % 3} shared", label=i % 2) for i in range(7)]
     toy_model.FeatureMatrix.build(Dataset(examples=examples, class_count=2), 64)
     assert rows == list(range(7))
+
+
+def test_write_plan_jsonl_takes_the_plans_first():
+    from curlearn.samplers import write_plan_jsonl
+    assert list(inspect.signature(write_plan_jsonl).parameters)[:2] == ["plans", "path"]
+
+
+def test_cmd_plan_passes_the_plans_positionally(tmp_path, monkeypatch):
+    # samplers.write_us_per_position counts the positions in args[0]
+    from curlearn import cli
+    from curlearn.dataset_io import Dataset, Example, save_dataset
+    calls = []
+    real = cli.write_plan_jsonl
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_plan_jsonl", recording)
+    dataset = tmp_path / "d.jsonl"
+    save_dataset(Dataset([Example(id=i, text=f"w{i}", label=i % 2) for i in range(30)],
+                         class_count=2), dataset)
+    assert cli.main(["plan", "--dataset", str(dataset), "--strategy", "Random",
+                     "--epochs", "2", "--out", str(tmp_path / "plan.jsonl")]) == 0
+    [(args, kwargs)] = calls
+    assert "plans" not in kwargs
+    count = bench_trace().COUNTERS["samplers.write_plan_jsonl"]
+    assert count(args, kwargs, None) == 60
