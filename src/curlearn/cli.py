@@ -26,11 +26,12 @@ import numpy as np
 
 from . import __version__
 from .dataset_io import (Dataset, load_dataset, open_atomic, read_predictions,
-                         read_score_file, token_lengths)
-from .samplers import Strategy, make_plan, write_plan_jsonl
+                         read_score_file, rows_of)
+from .samplers import Strategy, write_plan_jsonl
 from .scoring import score_histogram, score_table_from_probs, write_histogram_csv
-from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, TrainConfig, aggregate_runs, featurize_splits,
-                      few_shot_select, resolve_score_table, run_training,
+from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, TrainConfig, aggregate_runs,
+                      epoch_plans, featurize_splits, few_shot_select,
+                      resolve_score_table, run_training,
                       write_aggregate_csv, write_aggregate_text, write_checkpoint_csv,
                       write_report_json)
 
@@ -409,19 +410,9 @@ def cmd_plan(args) -> int:
     settings = resolve_settings(args, defaults={"train.epochs": 1})
     config = train_config(settings)
     dataset = _load_split(args.dataset, settings, "train")
-    strategy = config.strategy
     _check_out_file(args.out, args.force)
-    table = resolve_score_table(dataset, config)[0] if strategy.needs_scores else None
-    length_index = (token_lengths(dataset, config.max_tokens)
-                    if strategy is Strategy.LENGTH else None)
-    seed = config.seeds[0]
-    plans = []
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng((seed, epoch))
-        plans.append(make_plan(strategy, table, dataset, rng=rng,
-                               batch_size=config.batch_size,
-                               length_index=length_index))
-    write_plan_jsonl(plans, args.out)
+    table = resolve_score_table(dataset, config)[0] if config.strategy.needs_scores else None
+    write_plan_jsonl(list(epoch_plans(config, table, dataset, config.seeds[0])), args.out)
     write_manifest(str(args.out) + ".manifest.json", settings,
                    [args.dataset, settings["scores.path"], args.config])
     return 0
@@ -439,7 +430,6 @@ def cmd_fewshot(args) -> int:
     settings, config, (train_ds, val_ds, test_ds), out_dir, features, tables = _prepare_grid(
         args, [Strategy.parse(args.strategy)], few_shot=True)
     table, val_table = tables
-    row_of = {int(i): r for r, i in enumerate(train_ds.ids)}
     cells = []
     for seed in config.seeds:
         rng = np.random.default_rng((seed, FEWSHOT_STREAM))
@@ -449,7 +439,7 @@ def cmd_fewshot(args) -> int:
         cells.append(Cell(config, seed, (subset, val_ds, test_ds),
                           (table.restrict(subset.ids) if table is not None else None,
                            val_table),
-                          (features[0].take([row_of[int(i)] for i in subset.ids]),
+                          (features[0].take(rows_of(train_ds.ids, subset.ids)),
                            *features[1:])))
     _, failed = run_grid(cells, 1, out_dir, prefix="fewshot_")
     return _finish_grid(args, settings, failed)

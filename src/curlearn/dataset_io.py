@@ -10,8 +10,9 @@ File formats (one record = one example):
 External score files are JSONL records ``{"id": int, "probs": [C floats]}``;
 prediction files are JSONL records ``{"id", "predicted_label", "gold_label"}``.
 Every JSONL reader takes one JSON value per non-blank line, as ``json.loads``
-takes it (``_jsonl_values``). Every writer in the package goes through
-``open_atomic``.
+takes it (``_jsonl_values``), and its numeric fields must be JSON numbers:
+a string or a bool there is refused. CSV cells are text, read with ``int``.
+Every writer in the package goes through ``open_atomic``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,30 @@ def open_atomic(path, mode: str = "w", **kwargs):
         raise
 
 
+_JSON_NUMBERS = frozenset((int, float))  # bool is neither type exactly
+
+
 def _integer(value) -> int:
-    """``value`` as an int; bools and numbers with a fractional part are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON number with no fractional part, as an int; bools and strings are refused."""
+    if type(value) is int:
+        return value
+    if type(value) is not float or not value.is_integer():
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def rows_of(ids, wanted) -> np.ndarray:
+    """The row in ``ids`` (any order) of each id in ``wanted``, in ``wanted``'s order,
+    repeats kept; an id absent from ``ids`` raises a KeyError naming it."""
+    ids, wanted = np.asarray(ids, dtype=np.int64), np.asarray(wanted, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    at = np.searchsorted(ids, wanted, sorter=order)
+    found = at < len(ids)
+    found[found] = ids[order[at[found]]] == wanted[found]
+    if not found.all():
+        missing = wanted[~found]
+        raise KeyError(f"{len(missing)} ids not found, first {missing[:5].tolist()}")
+    return order[at]
 
 
 @dataclass
@@ -86,14 +106,11 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([ex.label for ex in self.examples], dtype=np.int64)
 
-    def by_id(self) -> dict[int, Example]:
-        return {ex.id: ex for ex in self.examples}
-
     def subset(self, ids, split_tag: str | None = None) -> "Dataset":
         """New Dataset holding the given ids (ascending id order, ids kept)."""
-        index = self.by_id()
-        picked = [index[i] for i in sorted(int(i) for i in ids)]
-        return replace(self, examples=picked, split_tag=split_tag or self.split_tag)
+        rows = rows_of(self.ids, np.sort(ids))
+        return replace(self, examples=[self.examples[r] for r in rows.tolist()],
+                       split_tag=split_tag or self.split_tag)
 
 
 def tokenize(text: str) -> list[str]:
@@ -149,13 +166,14 @@ def load_dataset(
     else:
         raise ValueError(f"unknown dataset format {format!r} (expected jsonl or csv)")
 
+    integer = int if format == "csv" else _integer
     examples = []
     for pos, (line_no, rec) in enumerate(records):
         if "text" not in rec or rec.get("label") is None:
             raise DatasetFormatError(f"{path}: malformed record at line {line_no}: "
                                      "needs 'text' and 'label'")
         try:
-            label = _integer(rec["label"])
+            label = integer(rec["label"])
         except (TypeError, ValueError):
             raise DatasetFormatError(
                 f"{path}: non-integer label at line {line_no}") from None
@@ -165,7 +183,7 @@ def load_dataset(
                 f"(label {label}, class_count {class_count})")
         if rec.get("id") is not None:
             try:
-                given = _integer(rec["id"])
+                given = integer(rec["id"])
             except (TypeError, ValueError):
                 raise DatasetFormatError(
                     f"{path}: non-integer id at line {line_no}") from None
@@ -327,7 +345,9 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
             rid = _integer(rec["id"])
             if epoch_tags and "epoch" in rec:
                 epochs.add(_integer(rec["epoch"]))
-            probs = [float(p) for p in rec["probs"]]
+            probs = rec["probs"]
+            if type(probs) is not list or not _JSON_NUMBERS.issuperset(map(type, probs)):
+                raise TypeError("probs must be a list of JSON numbers")
         except (TypeError, ValueError):
             raise DatasetFormatError(
                 f"{path}: non-numeric id, epoch or probability at line {line_no}") from None
@@ -401,6 +421,4 @@ def load_external_scores(path, dataset: Dataset):
         missing = sorted(want - set(ids.tolist()))
         raise DatasetFormatError(f"{path}: missing id {missing[0]} "
                                  f"({len(missing)} ids absent in total)")
-    by_id = np.argsort(ids)
-    rows = by_id[np.searchsorted(ids, dataset.ids, sorter=by_id)]
-    return score_table_from_probs(probs[rows], ids=dataset.ids)
+    return score_table_from_probs(probs[rows_of(ids, dataset.ids)], ids=dataset.ids)

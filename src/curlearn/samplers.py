@@ -7,9 +7,9 @@ examples seen) stays exact:
 * E2D / D2E   — fixed easiest-first / hardest-first order.
 * SME / SMD   — weighted sampling without replacement, rank weight n^2 on a
   difficulty-sorted list (ascending for SME, descending for SMD).
-* PME / PMD   — each 16-example batch is drawn as 9 examples under the n^2
-  law followed by 7 under the complement law (N-n)^2, from the pool of
-  examples not yet used this epoch.
+* PME / PMD   — each batch of b is drawn as ceil(9b/16) examples (9 of 16)
+  under the n^2 law, then the rest under the complement law (N-n)^2, from
+  the pool of examples not yet used this epoch.
 * Random      — uniform permutation.  Length — shortest-first.
 
 Weighted sampling without replacement is realized as an exponential race
@@ -68,7 +68,6 @@ RANK_DIRECTION = {
 }
 
 DEFAULT_BATCH_SIZE = 16
-DEFAULT_PARTITION_SPLIT = (9, 7)  # the 6:4 partition ratio at batch size 16
 
 
 def rank_weights(N: int, law: str = "square") -> np.ndarray:
@@ -96,9 +95,7 @@ class EpochPlan:
     """
 
     order: np.ndarray
-    batch_size: int
     batch_provenance: np.ndarray
-    strategy: Strategy
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=np.int64)
@@ -108,23 +105,17 @@ class EpochPlan:
     def __len__(self):
         return len(self.order)
 
-    def batches(self):
-        for start in range(0, len(self.order), self.batch_size):
-            yield self.order[start:start + self.batch_size]
-
 
 def _whole_tags(n: int) -> np.ndarray:
     return np.full(n, "whole", dtype="<U5")
 
 
-def sequential_plan(ranked: RankedList, which: Strategy,
-                    batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
+def sequential_plan(ranked: RankedList, which: Strategy) -> EpochPlan:
     """E2D/D2E: the ranked order itself is the schedule."""
     if which not in (Strategy.E2D, Strategy.D2E):
         raise ValueError(f"sequential_plan handles E2D/D2E, got {which}")
     _check_direction(ranked, which)
-    return EpochPlan(order=ranked.order.copy(), batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ranked)), strategy=which)
+    return EpochPlan(order=ranked.order.copy(), batch_provenance=_whole_tags(len(ranked)))
 
 
 def weighted_permutation(ids, weights, rng: np.random.Generator) -> np.ndarray:
@@ -148,27 +139,30 @@ def weighted_permutation(ids, weights, rng: np.random.Generator) -> np.ndarray:
     return ids[np.lexsort((ids, arrivals))]
 
 
-def probability_plan(ranked: RankedList, which: Strategy, rng: np.random.Generator,
-                     batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
+def probability_plan(ranked: RankedList, which: Strategy,
+                     rng: np.random.Generator) -> EpochPlan:
     """SME/SMD: square-law weights by rank, then one weighted permutation."""
     if which not in (Strategy.SME, Strategy.SMD):
         raise ValueError(f"probability_plan handles SME/SMD, got {which}")
     _check_direction(ranked, which)
     weights = rank_weights(len(ranked), "square")
     order = weighted_permutation(ranked.order, weights, rng)
-    return EpochPlan(order=order, batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ranked)), strategy=which)
+    return EpochPlan(order=order, batch_provenance=_whole_tags(len(ranked)))
 
 
 def partitioned_plan(ranked: RankedList, which: Strategy, rng: np.random.Generator,
                      batch_size: int = DEFAULT_BATCH_SIZE,
-                     split: tuple[int, int] = DEFAULT_PARTITION_SPLIT) -> EpochPlan:
+                     split: tuple[int, int] | None = None) -> EpochPlan:
     """PME/PMD: per batch, draw split[0] ids under the square law and then
     split[1] under the complement law, all without replacement within the
-    epoch. A ragged final batch keeps the proportions, rounding B1 up."""
+    epoch; split defaults to ceil(9b/16) : rest at batch size b (9:7 at 16).
+    A ragged final batch keeps the proportions, rounding B1 up."""
     if which not in (Strategy.PME, Strategy.PMD):
         raise ValueError(f"partitioned_plan handles PME/PMD, got {which}")
     _check_direction(ranked, which)
+    if split is None:
+        b1 = -(-9 * batch_size // 16)
+        split = (b1, batch_size - b1)
     if split[0] + split[1] != batch_size:
         raise ValueError(f"partition split {split} must sum to batch_size {batch_size}")
     N = len(ranked)
@@ -200,13 +194,11 @@ def partitioned_plan(ranked: RankedList, which: Strategy, rng: np.random.Generat
                 break
         used[pos] = True
         picks.append(pos)
-    return EpochPlan(order=ranked.order[picks], batch_size=batch_size,
-                     batch_provenance=np.array(tags, dtype="<U5"), strategy=which)
+    return EpochPlan(order=ranked.order[picks], batch_provenance=np.array(tags, dtype="<U5"))
 
 
 def baseline_plan(dataset: Dataset, which: Strategy, rng: np.random.Generator | None = None,
-                  length_index: np.ndarray | None = None,
-                  batch_size: int = DEFAULT_BATCH_SIZE) -> EpochPlan:
+                  length_index: np.ndarray | None = None) -> EpochPlan:
     """Random: uniform permutation. Length: shortest-first by ``length_index``
     (``dataset_io.token_lengths``), ties by id."""
     ids = dataset.ids
@@ -222,16 +214,15 @@ def baseline_plan(dataset: Dataset, which: Strategy, rng: np.random.Generator | 
         order = ids[np.lexsort((ids, length_index))]
     else:
         raise ValueError(f"baseline_plan handles Random/Length, got {which}")
-    return EpochPlan(order=order, batch_size=batch_size,
-                     batch_provenance=_whole_tags(len(ids)), strategy=which)
+    return EpochPlan(order=order, batch_provenance=_whole_tags(len(ids)))
 
 
 def make_plan(strategy: Strategy, score_table: ScoreTable | None, dataset: Dataset,
               rng: np.random.Generator | None = None,
               batch_size: int = DEFAULT_BATCH_SIZE,
-              split: tuple[int, int] = DEFAULT_PARTITION_SPLIT,
+              split: tuple[int, int] | None = None,
               length_index: np.ndarray | None = None) -> EpochPlan:
-    """Route a strategy to its plan constructor with the right sort direction."""
+    """Route a strategy to its plan constructor; ``batch_size`` and ``split`` shape PME/PMD."""
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
     if strategy.needs_scores:
@@ -239,12 +230,11 @@ def make_plan(strategy: Strategy, score_table: ScoreTable | None, dataset: Datas
             raise ValueError(f"strategy {strategy.value} needs difficulty scores")
         ranked = rank_examples(score_table, RANK_DIRECTION[strategy])
         if strategy in (Strategy.E2D, Strategy.D2E):
-            return sequential_plan(ranked, strategy, batch_size=batch_size)
+            return sequential_plan(ranked, strategy)
         if strategy in (Strategy.SME, Strategy.SMD):
-            return probability_plan(ranked, strategy, rng, batch_size=batch_size)
+            return probability_plan(ranked, strategy, rng)
         return partitioned_plan(ranked, strategy, rng, batch_size=batch_size, split=split)
-    return baseline_plan(dataset, strategy, rng=rng, length_index=length_index,
-                         batch_size=batch_size)
+    return baseline_plan(dataset, strategy, rng=rng, length_index=length_index)
 
 
 def _check_direction(ranked: RankedList, which: Strategy) -> None:

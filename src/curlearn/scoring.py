@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import open_atomic
+from .dataset_io import open_atomic, rows_of
 
 _SUM_TOL = 1e-9
 
@@ -54,12 +54,7 @@ class ScoreTable:
 
     def restrict(self, ids) -> "ScoreTable":
         """Sub-table for the given ids, in ascending id order."""
-        wanted = sorted(int(i) for i in ids)
-        pos = {int(i): k for k, i in enumerate(self.ids)}
-        missing = [i for i in wanted if i not in pos]
-        if missing:
-            raise KeyError(f"ids not in score table: {missing[:5]}")
-        rows = [pos[i] for i in wanted]
+        rows = rows_of(self.ids, np.sort(ids))
         return ScoreTable(ids=self.ids[rows], scores=self.scores[rows],
                           distributions=self.distributions[rows])
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset_io import Dataset, Example, stratified_split, tokenize
+from .dataset_io import Dataset, Example, rows_of, stratified_split, tokenize
 
 
 def _hash_token(token: str) -> int:
@@ -375,9 +375,7 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
 
     model = LinearModel.zeros(dataset.class_count, feats.dim)
     if probe_epochs > 0:
-        ids = dataset.ids
-        by_id = np.argsort(ids, kind="stable")
-        probe_rows = by_id[np.searchsorted(ids, probe.ids, sorter=by_id)]
+        probe_rows = rows_of(dataset.ids, probe.ids)
         labels = dataset.labels
         steps_per_epoch = max(1, -(-len(probe) // batch_size))
         state = OptimizerState.for_model(model, kind=kind, base_lr=base_lr,

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import Dataset, load_external_scores, open_atomic, token_lengths
-from .samplers import (DEFAULT_BATCH_SIZE, DEFAULT_PARTITION_SPLIT, Strategy,
-                       make_plan)
+from .dataset_io import Dataset, load_external_scores, open_atomic, rows_of, token_lengths
+from .samplers import DEFAULT_BATCH_SIZE, EpochPlan, Strategy, make_plan
 from .scoring import HistogramReport, ScoreTable, score_dataset, score_histogram
 from .toy_model import (FeatureMatrix, LinearModel, OptimizerState,
                         build_probe_scorer, loss_and_grad, optimizer_step,
@@ -280,6 +280,19 @@ def featurize_splits(splits, config: TrainConfig) -> tuple[FeatureMatrix, ...]:
     return tuple(FeatureMatrix.build(ds, config.dim, config.max_tokens) for ds in splits)
 
 
+def epoch_plans(config: TrainConfig, score_table: ScoreTable | None, dataset: Dataset,
+                seed: int) -> Iterator[EpochPlan]:
+    """Yield the config's plan for each epoch, epoch e drawn from the substream
+    (seed, e). ``curlearn plan`` writes these plans and ``run_training``
+    trains on them, so the two cannot drift apart."""
+    length_index = (token_lengths(dataset, config.max_tokens)
+                    if config.strategy is Strategy.LENGTH else None)
+    for epoch in range(config.epochs):
+        yield make_plan(config.strategy, score_table, dataset,
+                        rng=np.random.default_rng((seed, epoch)),
+                        batch_size=config.batch_size, length_index=length_index)
+
+
 def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
                  config: TrainConfig, seed: int | None = None,
                  score_table: ScoreTable | None = None,
@@ -310,8 +323,6 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         tables = resolve_score_table(train_ds, config, feats_train, val=(val_ds, feats_val))
         score_table = tables[0] if score_table is None else score_table
         val_table = tables[1]
-    length_index = (token_lengths(train_ds, config.max_tokens)
-                    if strategy is Strategy.LENGTH else None)
 
     N = len(train_ds)
     model = LinearModel.zeros(train_ds.class_count, config.dim)
@@ -321,27 +332,23 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         total_steps=config.epochs * steps_per_epoch, weight_decay=config.weight_decay,
         beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
     marks = checkpoint_steps(N, config.checkpoint_fraction)
-    row_of = {int(i): r for r, i in enumerate(train_ds.ids)}
-    labels = train_ds.labels
+    ids, labels = train_ds.ids, train_ds.labels
 
     checkpoints: list[CheckpointEntry] = []
     best_acc, best_index, best_model = -1.0, -1, model.copy()
     snapshots: list[LinearModel] = []
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng((seed, epoch))
-        plan = make_plan(strategy, score_table, train_ds, rng=rng,
-                         batch_size=config.batch_size, length_index=length_index)
-        seen = 0
+    for epoch, plan in enumerate(epoch_plans(config, score_table, train_ds, seed)):
+        plan_rows = rows_of(ids, plan.order)
         next_mark = 0
-        for batch_no, batch_ids in enumerate(plan.batches()):
-            rows = [row_of[int(i)] for i in batch_ids]
+        for batch_no, start in enumerate(range(0, N, config.batch_size)):
+            rows = plan_rows[start:start + config.batch_size]
             loss, grads = loss_and_grad(model, feats_train.take(rows), labels[rows])
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} batch {batch_no} "
-                    f"(ids {[int(i) for i in batch_ids[:8]]}...)")
+                    f"(ids {ids[rows[:8]].tolist()}...)")
             optimizer_step(model, grads, state)
-            seen += len(batch_ids)
+            seen = start + len(rows)
             crossed = []
             while next_mark < len(marks) and marks[next_mark] <= seen:
                 crossed.append(marks[next_mark])
@@ -405,14 +412,13 @@ def few_shot_select(strategy: Strategy | str, score_table: ScoreTable | None,
                     dataset: Dataset, k: int = 64,
                     rng: np.random.Generator | None = None,
                     length_index=None, batch_size: int = DEFAULT_BATCH_SIZE,
-                    split: tuple[int, int] = DEFAULT_PARTITION_SPLIT,
                     max_tokens: int | None = None) -> Dataset:
     """The k examples a strategy would schedule first.
 
     E2D gets the k easiest, D2E the k hardest, Length the k shortest,
     Random a uniform draw; the probabilistic strategies contribute the
     first k positions of one seeded plan (for PME/PMD that interleaves the
-    9:7 partition draws until k is reached).
+    partition draws, 9:7 at batch size 16, until k is reached).
     """
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
@@ -421,7 +427,7 @@ def few_shot_select(strategy: Strategy | str, score_table: ScoreTable | None,
     if strategy is Strategy.LENGTH and length_index is None:
         length_index = token_lengths(dataset, max_tokens)
     plan = make_plan(strategy, score_table, dataset, rng=rng, batch_size=batch_size,
-                     split=split, length_index=length_index)
+                     length_index=length_index)
     return dataset.subset(plan.order[:k])
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from curlearn.cli import main
 from curlearn.dataset_io import save_dataset
+from curlearn.samplers import Strategy
 from curlearn.synthetic import make_separable_corpus
 
 DIM = "4096"
@@ -180,6 +181,51 @@ def test_plan_epochs_come_from_flag_then_config_file_then_1(tmp_path, splits):
     assert plan_epochs("none.jsonl") == [0]
 
 
+@pytest.mark.parametrize("strategy", ["PME", "PMD"])
+@pytest.mark.parametrize("batch_size, full, ragged", [(32, (18, 14), [(14, 10)]),
+                                                      (8, (5, 3), [])])
+def test_plan_partitions_any_batch_size(tmp_path, splits, strategy, batch_size, full, ragged):
+    out = tmp_path / "plan.jsonl"
+    assert main(["plan", "--dataset", splits["train"], "--strategy", strategy,
+                 "--batch-size", str(batch_size), "--dim", DIM, "--out", str(out)]) == 0
+    tags = [json.loads(line)["partition_tag"] for line in out.read_text().splitlines()]
+    batches = [tags[i:i + batch_size] for i in range(0, len(tags), batch_size)]
+    assert all(b == sorted(b) for b in batches)  # B1 first
+    assert ([(b.count("B1"), b.count("B2")) for b in batches]
+            == [full] * (120 // batch_size) + ragged)
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_plan_writes_the_schedule_train_consumes(tmp_path, splits, monkeypatch, strategy):
+    from curlearn import trainer
+    consumed = []
+    real = trainer.make_plan
+
+    def recording(*args, **kwargs):
+        consumed.append(real(*args, **kwargs))
+        return consumed[-1]
+
+    # texts of 1 to 6 tokens, capped at 3: the cap reorders Length's ties
+    train = make_separable_corpus(120, seed=1)
+    for ex in train.examples:
+        ex.text = " ".join(ex.text.split()[:1 + ex.id % 6])
+    save_dataset(train, tmp_path / "varied.jsonl")
+    splits = {**splits, "train": str(tmp_path / "varied.jsonl")}
+    flags = ["--strategy", strategy, "--seed", "5", "--epochs", "2", "--batch-size", "8",
+             "--max-tokens", "3", "--dim", DIM]
+    monkeypatch.setattr(trainer, "make_plan", recording)
+    assert main(["train", *split_flags(splits), *flags, "--out", str(tmp_path / "run")]) == 0
+    monkeypatch.undo()
+    out = tmp_path / "plan.jsonl"
+    assert main(["plan", "--dataset", splits["train"], *flags, "--out", str(out)]) == 0
+    written = [(r["epoch"], r["position"], r["example_id"], r["partition_tag"])
+               for r in map(json.loads, out.read_text().splitlines())]
+    assert len(consumed) == 2 and written == [
+        (epoch, position, ex_id, tag) for epoch, plan in enumerate(consumed)
+        for position, (ex_id, tag) in enumerate(zip(plan.order.tolist(),
+                                                    plan.batch_provenance.tolist()))]
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -310,6 +356,15 @@ def test_analyze_rejects_bad_epoch_tags(tmp_path, capsys, tags, message):
     rc = main(["analyze", str(scores), "--bins", "4", "--out", str(tmp_path / "h.csv")])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_string_epoch_tag(tmp_path, capsys):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(json.dumps({"id": 0, "probs": [0.5, 0.5], "epoch": "3"}) + "\n")
+    rc = main(["analyze", str(scores), "--bins", "4", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    assert (f"{scores}: non-numeric id, epoch or probability at line 1"
+            in capsys.readouterr().err)
 
 
 def test_analyze_predictions_split_and_mismatch(tmp_path, capsys):

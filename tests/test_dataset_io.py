@@ -7,8 +7,8 @@ import pytest
 
 from curlearn.dataset_io import (Dataset, DatasetFormatError, Example, load_dataset,
                                  load_external_scores, open_atomic, read_predictions,
-                                 read_score_file, save_dataset, stratified_split,
-                                 token_lengths, tokenize)
+                                 read_score_file, rows_of, save_dataset,
+                                 stratified_split, token_lengths, tokenize)
 
 # ------------------------------------------------------------------ loading
 
@@ -93,6 +93,28 @@ def test_csv_quoted_commas(tmp_path):
     ds = load_dataset(path, "csv", class_count=2)
     assert ds.examples[0].text == "hello, world"
     assert ds.examples[0].text_pair is None
+
+
+# ------------------------------------------------------------------ rows_of
+
+
+def test_rows_of_finds_ids_in_unsorted_ids():
+    assert rows_of([40, 10, 30, 20], [10, 20, 30, 40]).tolist() == [1, 3, 2, 0]
+
+
+def test_rows_of_keeps_the_wanted_order_and_repeats():
+    assert rows_of([5, 9, 7], [7, 5, 7, 9, 5]).tolist() == [2, 0, 2, 1, 0]
+    assert rows_of([5, 9, 7], []).tolist() == []
+
+
+@pytest.mark.parametrize("ids, wanted, absent", [
+    ([5, 9, 7], [9, 6, 10, 4], [6, 10, 4]),  # between, above and below the ids
+    ([], [1], [1]),
+])
+def test_rows_of_names_the_absent_ids(ids, wanted, absent):
+    with pytest.raises(KeyError) as err:
+        rows_of(ids, wanted)
+    assert err.value.args[0] == f"{len(absent)} ids not found, first {absent}"
 
 
 # ---------------------------------------------------------------- tokenize
@@ -348,6 +370,49 @@ def test_score_file_rejects_non_integer_ids_with_line(tmp_path, bad_id):
                     .replace('"Infinity"', "Infinity") + "\n")
     with pytest.raises(DatasetFormatError, match=f"{path}: non-numeric id.* at line 2"):
         read_score_file(path)
+
+
+# JSONL numeric fields must be JSON numbers; each of these once read as a number.
+
+
+@pytest.mark.parametrize("record", [{"text": "b", "label": "1"}, {"text": "b", "label": True},
+                                    {"id": "1", "text": "b", "label": 1}])
+def test_load_jsonl_refuses_strings_and_bools_for_integers(tmp_path, record):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"text": "a", "label": 0}, record])
+    with pytest.raises(DatasetFormatError, match=f"{path}: non-integer (label|id) at line 2"):
+        load_dataset(path, "jsonl", class_count=2)
+
+
+def test_load_csv_reads_integer_cells_from_text(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,text,text_pair,label\n0,a,,1\n 1 ,b,,0 \n", encoding="utf-8")
+    ds = load_dataset(path, "csv", class_count=2)
+    assert ds.ids.tolist() == [0, 1] and ds.labels.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "1", "probs": [0.25, 0.75]},
+    {"id": 1, "probs": ["0.25", " 0.75 "]},
+    {"id": 1, "probs": [True, False]},
+    {"id": 1, "probs": "11"},
+    {"id": 1, "probs": [0.25, 0.75], "epoch": "3"},
+])
+def test_score_file_refuses_strings_and_bools_for_numbers(tmp_path, record):
+    path = tmp_path / "s.jsonl"
+    write_jsonl(path, [{"id": 0, "probs": [1, 0.0]}, record])
+    if "epoch" in record:  # tags are read only when asked for
+        read_score_file(path)
+    with pytest.raises(DatasetFormatError,
+                       match=f"{path}: non-numeric id, epoch or probability at line 2"):
+        read_score_file(path, epoch_tags=True)
+
+
+def test_read_predictions_refuses_string_labels(tmp_path):
+    path = tmp_path / "p.jsonl"
+    write_jsonl(path, [{"id": 0, "predicted_label": "1", "gold_label": 1}])
+    with pytest.raises(DatasetFormatError, match=f"{path}: non-integer id or label at line 1"):
+        read_predictions(path, 2)
 
 
 # ---------------------------------------------------------------- predictions

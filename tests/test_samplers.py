@@ -232,6 +232,21 @@ def test_partitioned_ragged_final_batch_splits_3_1():
     assert tags[16:] == ["B1"] * 3 + ["B2"]
 
 
+@pytest.mark.parametrize("batch_size, full, ragged", [
+    # full batches ceil(9b/16) : rest; the ragged batch of b - 3 rounds B1 up
+    (16, (9, 7), (8, 5)), (32, (18, 14), (17, 12)), (8, (5, 3), (4, 1)), (1, (1, 0), None),
+])
+def test_partitioned_default_split_follows_the_batch_size(batch_size, full, ragged):
+    n = 3 * batch_size - (3 if ragged else 0)
+    _, table = dataset_from_scores(np.linspace(0, 1, n))
+    for strategy, direction in ((Strategy.PME, "ascending"), (Strategy.PMD, "descending")):
+        plan = partitioned_plan(rank_examples(table, direction), strategy,
+                                np.random.default_rng(0), batch_size=batch_size)
+        tags = plan.batch_provenance.tolist()
+        shape = [full, full] + [ragged or full]
+        assert tags == [t for b1, b2 in shape for t in ["B1"] * b1 + ["B2"] * b2]
+
+
 def test_partitioned_plan_rejects_bad_split():
     _, table = dataset_from_scores([0.1, 0.9])
     with pytest.raises(ValueError, match="sum to batch_size"):
@@ -411,7 +426,6 @@ def test_make_plan_e2d_delegates_to_descending_ranking():
     ds, table = dataset_from_scores([0.1, 0.9, 0.5])
     plan = make_plan(Strategy.E2D, table, ds)
     assert plan.order.tolist() == [1, 2, 0]
-    assert plan.strategy is Strategy.E2D
 
 
 def test_make_plan_random_without_scores():
@@ -515,7 +529,6 @@ def test_plan_is_a_permutation_for_random_sizes_batches_and_splits(strategy):
                          length_index=lengths)
         assert sorted(plan.order.tolist()) == list(range(n)), (n, batch_size, b1)
         assert len(plan.batch_provenance) == n
-        assert sum(len(b) for b in plan.batches()) == n
 
 
 # ------------------------------------------------------------- mutation check

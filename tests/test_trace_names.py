@@ -79,3 +79,29 @@ def test_cmd_plan_passes_the_plans_positionally(tmp_path, monkeypatch):
     assert "plans" not in kwargs
     count = bench_trace().COUNTERS["samplers.write_plan_jsonl"]
     assert count(args, kwargs, None) == 60
+
+
+@pytest.mark.parametrize("command", ["plan", "train"])
+def test_make_plan_gets_the_strategy_first_on_plan_and_train(tmp_path, monkeypatch, command):
+    # samplers.plan_ms.<strategy> is tagged from make_plan's args[0]; a tag that
+    # is not a strategy name leaves every per-strategy metric at 0
+    from curlearn import cli, trainer
+    from curlearn.dataset_io import Dataset, Example, save_dataset
+    from curlearn.samplers import Strategy
+    tags = []
+    real = trainer.make_plan
+
+    def recording(*args, **kwargs):
+        assert isinstance(args[0], Strategy)
+        tags.append(args[0].value)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "make_plan", recording)
+    dataset = tmp_path / "d.jsonl"
+    save_dataset(Dataset([Example(id=i, text=f"w{i} x{i % 3}", label=i % 2) for i in range(30)],
+                         class_count=2), dataset)
+    data = (["--dataset", str(dataset)] if command == "plan"
+            else ["--train", str(dataset), "--val", str(dataset), "--test", str(dataset)])
+    assert cli.main([command, *data, "--strategy", "PMD", "--seed", "7", "--epochs", "2",
+                     "--dim", "64", "--out", str(tmp_path / "out")]) == 0
+    assert tags == ["PMD", "PMD"]

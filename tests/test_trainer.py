@@ -215,6 +215,37 @@ def test_adding_epochs_preserves_earlier_plans(monkeypatch):
     assert captured[4][:2] == captured[2]
 
 
+def test_batches_are_the_plan_order_cut_at_batch_size(monkeypatch):
+    # sparse ids, so a batch's rows differ from its ids
+    full, val_ds, test_ds = small_splits(60, 24, 24)
+    train_ds = full.subset(range(1, 60, 2))
+    cfg = TrainConfig(epochs=2, batch_size=7, strategy="PME", dim=DIM)
+    feats = trainer_mod.featurize_splits((train_ds, val_ds, test_ds), cfg)
+    plans, batches = [], []
+    real_make_plan, real_loss = trainer_mod.make_plan, trainer_mod.loss_and_grad
+
+    def plan_spy(*args, **kwargs):
+        plans.append(real_make_plan(*args, **kwargs))
+        return plans[-1]
+
+    def loss_spy(model, batch, labels):
+        batches.append((batch.indptr.tolist(), batch.flat_indices.tolist(), labels.tolist()))
+        return real_loss(model, batch, labels)
+
+    monkeypatch.setattr(trainer_mod, "make_plan", plan_spy)
+    monkeypatch.setattr(trainer_mod, "loss_and_grad", loss_spy)
+    run_training(train_ds, val_ds, test_ds, cfg, seed=3, features=feats)
+    row = {int(i): r for r, i in enumerate(train_ds.ids)}
+    want = []
+    for plan in plans:
+        for start in range(0, len(plan), 7):
+            rows = [row[i] for i in plan.order[start:start + 7].tolist()]
+            batch = feats[0].take(rows)
+            want.append((batch.indptr.tolist(), batch.flat_indices.tolist(),
+                         train_ds.labels[rows].tolist()))
+    assert len(plans) == 2 and batches == want
+
+
 def test_best_checkpoint_tie_resolves_to_earliest():
     train_ds, val_ds, test_ds = small_splits()
     cfg = TrainConfig(epochs=2, strategy="Random", dim=DIM, learning_rate=0.0)
