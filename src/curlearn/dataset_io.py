@@ -321,6 +321,15 @@ def _largest_remainder(n: int, fractions) -> list[int]:
     return counts
 
 
+def _as_float(value) -> float:
+    """``float(value)``, with an integer past float64's range read as infinite
+    (as json reads 1e400), so the row checks refuse it as non-finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def read_score_file(path, class_count: int | None = None, known_ids=None,
                     epoch_tags: bool = False):
     """Read a ``{id, probs[, epoch]}`` JSONL score file and validate every record.
@@ -333,7 +342,8 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
     the first row when ``class_count`` is None; ``known_ids``, when given,
     is the set of ids a record may carry. Any violation raises a
     DatasetFormatError naming the file and line, including duplicate ids
-    and negative, non-finite or all-zero probability rows.
+    and negative, non-finite or all-zero probability rows, and rows whose
+    sum is not finite (every entry finite, but too large to add up).
     """
     ids, rows, lines, epochs = [], [], [], set()
     seen: set[int] = set()
@@ -369,10 +379,16 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
         raise DatasetFormatError(f"{path}: empty score file")
     if len(epochs) > 1:
         raise DatasetFormatError(f"{path}: mixed epoch tags {sorted(epochs)}")
-    matrix = np.array(rows, dtype=np.float64)
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer past float64's range
+        matrix = np.array([[_as_float(p) for p in row] for row in rows], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        sums = matrix.sum(axis=1)
     for bad, what in ((~np.isfinite(matrix).all(axis=1), "non-finite probability"),
                       ((matrix < 0).any(axis=1), "negative probability"),
-                      (matrix.sum(axis=1) <= 0, "all-zero probability vector")):
+                      (~np.isfinite(sums), "non-finite probability sum"),
+                      (sums <= 0, "all-zero probability vector")):
         if bad.any():
             k = int(np.argmax(bad))
             raise DatasetFormatError(f"{path}: {what} for id {ids[k]} at line {lines[k]}")

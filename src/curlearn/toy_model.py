@@ -13,7 +13,9 @@ A split is hashed in one pass into a CSR ``FeatureMatrix`` of int32 ids
 (so ``dim`` is at most 2**31) and float32 counts, which widen exactly in the
 float64 products. Training batches, evaluation and probe scoring all take
 rows of such a matrix, and its ``logits`` method is the one place logits
-are computed.
+are computed. ``FeatureMatrix.in_columns`` maps a matrix onto the columns a
+training split uses, so a model can train at that width (a few hundred
+columns for a small split) instead of ``dim``; the probe trains at ``dim``.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ class LinearModel:
 
     @classmethod
     def zeros(cls, class_count: int, dim: int) -> "LinearModel":
-        if dim <= 0 or dim & (dim - 1):
-            raise ValueError(f"dim must be a power of two, got {dim}")
         return cls(weights=np.zeros((class_count, dim), dtype=np.float64),
                    bias=np.zeros(class_count, dtype=np.float64))
 
@@ -149,6 +149,20 @@ class FeatureMatrix:
         return replace(self, indptr=indptr, flat_indices=self.flat_indices[entries],
                        flat_values=self.flat_values[entries])
 
+    def in_columns(self, vocab) -> "FeatureMatrix":
+        """This matrix over the sorted distinct ids ``vocab``: each id in it
+        becomes its position there, entries outside it are dropped, and
+        ``dim`` becomes ``len(vocab)``. The map is monotone, so each row
+        keeps its kept entries in order."""
+        vocab = np.asarray(vocab)
+        pos = np.searchsorted(vocab, self.flat_indices)
+        keep = pos < len(vocab)
+        keep[keep] = vocab[pos[keep]] == self.flat_indices[keep]
+        kept_before = np.concatenate([[0], np.cumsum(keep)])
+        return replace(self, indptr=kept_before[self.indptr],
+                       flat_indices=pos[keep].astype(self.flat_indices.dtype),
+                       flat_values=self.flat_values[keep], dim=len(vocab))
+
     def logits(self, model: LinearModel) -> np.ndarray:
         """(rows, C) logits: bias plus each row's features summed in column order."""
         if model.dim != self.dim:
@@ -224,6 +238,8 @@ class OptimizerState:
     non-zero (or NaN) in any of the three, and grows by each step's
     gradient columns until it holds more than ``DENSE_LIVE_SHARE`` of them;
     from then on every step updates all columns and the set is not read.
+    The set pays off for the full-width probe (``build_probe_scorer``);
+    ``run_training``'s model spans only its train columns and soon goes dense.
     """
 
     kind: str = "adamw"
@@ -295,9 +311,10 @@ def _live_columns(model: LinearModel, grads: SparseGrads, state: OptimizerState)
 def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState):
     """Apply one update in place; returns (model, state) for convenience.
 
-    AdamW touches only ``state.live_cols`` while that set is small: the
-    columns outside it are zero in the weights and both moments, where the
-    dense update would leave them zero. Both ways apply the same operations
+    AdamW touches only ``state.live_cols`` while that set is small, which is
+    what keeps the full-width probe's steps cheap: the columns outside it
+    are zero in the weights and both moments, where the dense update would
+    leave them zero. Both ways apply the same operations
     to every updated element, so they give the same bits. Set parameters
     directly only before the state's first AdamW step; a column set later
     is not updated until a gradient touches it.

@@ -306,6 +306,12 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     (train, val, test) matrices built by ``FeatureMatrix.build`` with this
     config's ``dim`` and ``max_tokens``, does the same for featurization:
     hashing is seedless, so a grid can build them once and share them.
+
+    The model trains, is evaluated and is rescored in the train split's own
+    columns: the sorted distinct ids of the train matrix, onto which all
+    three matrices are mapped. A column outside them never gets a gradient
+    and stays exactly zero, so no metric or score moves. ``best_model`` is
+    scattered back to hashed width ``dim`` once, after training.
     """
     seed = config.seeds[0] if seed is None else int(seed)
     strategy = config.strategy
@@ -324,8 +330,10 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         score_table = tables[0] if score_table is None else score_table
         val_table = tables[1]
 
+    vocab = np.unique(feats_train.flat_indices)
+    feats_train, feats_val, feats_test = (f.in_columns(vocab) for f in features)
     N = len(train_ds)
-    model = LinearModel.zeros(train_ds.class_count, config.dim)
+    model = LinearModel.zeros(train_ds.class_count, len(vocab))
     steps_per_epoch = math.ceil(N / config.batch_size)
     state = OptimizerState.for_model(
         model, kind=config.optimizer, base_lr=config.resolved_lr(),
@@ -369,6 +377,9 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
             snapshots.append(model.copy())
 
     test_metrics, test_loss = evaluate(best_model, test_ds, feats_test)
+    hashed = LinearModel.zeros(best_model.class_count, config.dim)
+    hashed.weights[:, vocab] = best_model.weights
+    hashed.bias[:] = best_model.bias
     histograms = None
     if config.rescore:
         rescore_ds, rescore_feats, initial = ((val_ds, feats_val, val_table) if rescore_val
@@ -380,7 +391,7 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
         best_checkpoint_index=best_index, test_metrics=test_metrics,
         test_mean_loss=test_loss, score_histograms=histograms)
-    return TrainOutcome(report=report, best_model=best_model, score_table=score_table)
+    return TrainOutcome(report=report, best_model=hashed, score_table=score_table)
 
 
 def rescore_analysis(snapshots, dataset: Dataset, feats: FeatureMatrix,

@@ -1,10 +1,14 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curlearn
 from curlearn.cli import main
 from curlearn.dataset_io import save_dataset
 from curlearn.samplers import Strategy
@@ -31,6 +35,15 @@ def write_scores(path, n, probs=(0.9, 0.1)):
     with open(path, "w") as fh:
         for i in range(n):
             fh.write(json.dumps({"id": i, "probs": list(probs)}) + "\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's own parent directory, so the child imports this checkout
+    env = dict(os.environ, PYTHONPATH=str(Path(curlearn.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "curlearn", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: curlearn ")
 
 
 # -------------------------------------------------------------------- score
@@ -405,6 +418,10 @@ def test_analyze_single_bin_is_usage_error(tmp_path):
     ([(0, [0.6, 0.4]), (1, [0.3, 0.7]), (1, [0.9, 0.1])], "duplicate id 1 at line 3"),
     ([(0, [0.6, 0.4]), (1, [-1.0, 0.8])], "negative probability for id 1 at line 2"),
     ([(0, [0.6, 0.4]), (1, [0.0, 0.0])], "all-zero probability vector for id 1 at line 2"),
+    # integers past float64's range, and finite entries whose sum is not finite
+    ([(0, [10 ** 400, 1])], "non-finite probability for id 0 at line 1"),
+    ([(0, [0.6, 0.4]), (1, [-10 ** 400, 1])], "non-finite probability for id 1 at line 2"),
+    ([(0, [0.6, 0.4]), (1, [1.5e308, 1e308])], "non-finite probability sum for id 1 at line 2"),
 ])
 def test_analyze_rejects_invalid_score_rows(tmp_path, capsys, records, message):
     scores = tmp_path / "s.jsonl"

@@ -216,6 +216,33 @@ def test_logits_blocks_match_one_pass(monkeypatch):
     assert np.array_equal(feats.take(rows).logits(model), whole[rows])
 
 
+@pytest.mark.parametrize("vocab_kind", ["some", "empty", "all"])
+def test_in_columns_gives_the_logits_of_the_scattered_model(vocab_kind):
+    rng = np.random.default_rng(12)
+    D = 64
+    for _ in range(40):
+        C = int(rng.integers(2, 5))
+        feats = csr([(np.sort(rng.choice(D, size=k, replace=False)),
+                      rng.integers(1, 4, size=k).astype(float))
+                     for k in rng.integers(0, 9, size=int(rng.integers(1, 8)))], D)
+        vocab = {"some": np.sort(rng.choice(D, size=int(rng.integers(1, D)), replace=False)),
+                 "empty": np.empty(0, dtype=np.int64), "all": np.arange(D)}[vocab_kind]
+        compact = LinearModel(weights=rng.normal(size=(C, len(vocab))), bias=rng.normal(size=C))
+        scattered = LinearModel.zeros(C, D)
+        scattered.weights[:, vocab] = compact.weights
+        scattered.bias[:] = compact.bias
+        narrow = feats.in_columns(vocab)
+        assert narrow.dim == len(vocab) and narrow.n_rows == feats.n_rows
+        assert np.array_equal(narrow.logits(compact), feats.logits(scattered))
+        for r in range(feats.n_rows):  # each row keeps its kept entries, in order
+            ids = feats.flat_indices[feats.indptr[r]:feats.indptr[r + 1]]
+            vals = feats.flat_values[feats.indptr[r]:feats.indptr[r + 1]]
+            kept = np.isin(ids, vocab)
+            lo, hi = narrow.indptr[r], narrow.indptr[r + 1]
+            assert vocab[narrow.flat_indices[lo:hi]].tolist() == ids[kept].tolist()
+            assert narrow.flat_values[lo:hi].tolist() == vals[kept].tolist()
+
+
 # ------------------------------------------------------------------ softmax
 
 

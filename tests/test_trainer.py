@@ -235,6 +235,9 @@ def test_batches_are_the_plan_order_cut_at_batch_size(monkeypatch):
     monkeypatch.setattr(trainer_mod, "make_plan", plan_spy)
     monkeypatch.setattr(trainer_mod, "loss_and_grad", loss_spy)
     run_training(train_ds, val_ds, test_ds, cfg, seed=3, features=feats)
+    # training sees the train split's own columns; map them back to hashed ids
+    vocab = np.unique(feats[0].flat_indices)
+    batches = [(indptr, vocab[cols].tolist(), labels) for indptr, cols, labels in batches]
     row = {int(i): r for r, i in enumerate(train_ds.ids)}
     want = []
     for plan in plans:
@@ -267,6 +270,35 @@ def test_test_metrics_come_from_best_validation_checkpoint():
     recomputed, _ = evaluate(outcome.best_model, test_ds)
     assert recomputed.accuracy == report.test_metrics.accuracy
     assert recomputed.macro_f1 == report.test_metrics.macro_f1
+
+
+def test_training_runs_in_the_train_columns_and_scatters_best_model_once(monkeypatch):
+    splits = small_splits()
+    cfg = TrainConfig(epochs=2, strategy="Random", dim=DIM)
+    features = trainer_mod.featurize_splits(splits, cfg)
+    vocab = np.unique(features[0].flat_indices)
+    widths, zeros_widths = [], []
+    real_loss, real_zeros = trainer_mod.loss_and_grad, LinearModel.zeros.__func__
+
+    def loss_spy(model, batch, labels):
+        widths.append(model.dim)
+        return real_loss(model, batch, labels)
+
+    def zeros_spy(cls, class_count, dim):
+        zeros_widths.append(dim)
+        return real_zeros(cls, class_count, dim)
+
+    monkeypatch.setattr(trainer_mod, "loss_and_grad", loss_spy)
+    monkeypatch.setattr(LinearModel, "zeros", classmethod(zeros_spy))
+    best = run_training(*splits, cfg, seed=66, features=features).best_model
+    assert 0 < len(vocab) < DIM
+    assert len(widths) == 2 * 96 // cfg.batch_size and set(widths) == {len(vocab)}
+    assert zeros_widths == [len(vocab), DIM]  # the one hashed-width model is the scatter
+    assert best.weights.shape == (2, DIM)
+    outside = np.ones(DIM, dtype=bool)
+    outside[vocab] = False
+    assert not best.weights[:, outside].any() and not np.signbit(best.weights[:, outside]).any()
+    assert best.weights[:, vocab].any()
 
 
 def test_run_aborts_on_external_scores_for_wrong_ids(tmp_path):
@@ -357,6 +389,29 @@ def test_rescore_zero_model_snapshot_all_mass_in_lowest_bin():
     assert post.epoch_tag == 1
     assert int(post.total_counts[0]) == 10
     assert int(post.total_counts[1:].sum()) == 0
+
+
+def test_rescore_in_train_columns_matches_scattered_snapshots():
+    train_ds, val_ds, _ = small_splits(64, 32, 32)
+    rng = np.random.default_rng(4)
+    # a few rows' columns, so both splits hold ids outside them
+    vocab = np.unique(FeatureMatrix.build(train_ds, DIM).take(range(6)).flat_indices)
+    for ds in (train_ds, val_ds):
+        feats = FeatureMatrix.build(ds, DIM)
+        compact = [LinearModel(weights=rng.normal(size=(2, len(vocab))), bias=rng.normal(size=2))
+                   for _ in range(3)]
+        scattered = [LinearModel.zeros(2, DIM) for _ in compact]
+        for wide, narrow in zip(scattered, compact):
+            wide.weights[:, vocab] = narrow.weights
+            wide.bias[:] = narrow.bias
+        got = rescore_analysis(compact, ds, feats.in_columns(vocab), bins=7)
+        want = rescore_analysis(scattered, ds, feats, bins=7)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a.bin_edges, b.bin_edges)
+            assert np.array_equal(a.counts_correct, b.counts_correct)
+            assert np.array_equal(a.counts_incorrect, b.counts_incorrect)
+            assert (a.epoch_tag, a.mean_score) == (b.epoch_tag, b.mean_score)
 
 
 def test_rescore_requires_something_to_analyze():
