@@ -49,6 +49,7 @@ def open_atomic(path, mode: str = "w", **kwargs):
 
 
 _JSON_NUMBERS = frozenset((int, float))  # bool is neither type exactly
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def _integer(value) -> int:
@@ -341,9 +342,10 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
     tag is None. Each row must hold ``class_count`` entries, or as many as
     the first row when ``class_count`` is None; ``known_ids``, when given,
     is the set of ids a record may carry. Any violation raises a
-    DatasetFormatError naming the file and line, including duplicate ids
-    and negative, non-finite or all-zero probability rows, and rows whose
-    sum is not finite (every entry finite, but too large to add up).
+    DatasetFormatError naming the file and line, including duplicate ids,
+    ids and epochs outside the int64 range, negative, non-finite or all-zero
+    probability rows, and rows whose sum is not finite (every entry finite,
+    but too large to add up).
     """
     ids, rows, lines, epochs = [], [], [], set()
     seen: set[int] = set()
@@ -353,14 +355,18 @@ def read_score_file(path, class_count: int | None = None, known_ids=None,
                 f"{path}: record at line {line_no} needs 'id' and 'probs'")
         try:
             rid = _integer(rec["id"])
-            if epoch_tags and "epoch" in rec:
-                epochs.add(_integer(rec["epoch"]))
+            tag = _integer(rec["epoch"]) if epoch_tags and "epoch" in rec else None
             probs = rec["probs"]
             if type(probs) is not list or not _JSON_NUMBERS.issuperset(map(type, probs)):
                 raise TypeError("probs must be a list of JSON numbers")
         except (TypeError, ValueError):
             raise DatasetFormatError(
                 f"{path}: non-numeric id, epoch or probability at line {line_no}") from None
+        if rid not in _INT64 or (tag is not None and tag not in _INT64):
+            raise DatasetFormatError(
+                f"{path}: id or epoch outside the int64 range at line {line_no}")
+        if tag is not None:
+            epochs.add(tag)
         if rid in seen:
             raise DatasetFormatError(f"{path}: duplicate id {rid} at line {line_no}")
         if known_ids is not None and rid not in known_ids:

@@ -14,15 +14,15 @@ A split is hashed in one pass into a CSR ``FeatureMatrix`` of int32 ids
 float64 products. Training batches, evaluation and probe scoring all take
 rows of such a matrix, and its ``logits`` method is the one place logits
 are computed. ``FeatureMatrix.in_columns`` maps a matrix onto the columns a
-training split uses, so a model can train at that width (a few hundred
-columns for a small split) instead of ``dim``; the probe trains at ``dim``.
+training split uses, so every model (a run's and the probe's) trains at that
+width, a few hundred columns for a small split, instead of ``dim``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +86,15 @@ class LinearModel:
     def copy(self) -> "LinearModel":
         return LinearModel(weights=self.weights.copy(), bias=self.bias.copy())
 
+    def scatter(self, vocab, dim: int) -> "LinearModel":
+        """This model, trained over the sorted distinct ids ``vocab``, at
+        width ``dim``: column k moves to id ``vocab[k]``, every other column
+        is +0.0."""
+        wide = LinearModel.zeros(self.class_count, dim)
+        wide.weights[:, vocab] = self.weights
+        wide.bias[:] = self.bias
+        return wide
+
 
 # FeatureMatrix.logits works through this many rows at a time, so its
 # temporaries hold one block's entries instead of the whole matrix's.
@@ -128,16 +137,18 @@ class FeatureMatrix:
         del memo
         keys = np.frombuffer(keys, dtype=np.int64)
         keys.sort()  # in place, in the array's own buffer
-        run_start = np.empty(len(keys), dtype=bool)
-        run_start[:1] = True  # a split without tokens has no run to start
-        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-        first = np.flatnonzero(run_start)
+        first = np.flatnonzero(_run_starts(keys))
         counts = np.diff(first, append=len(keys)).astype(np.float32)
         keys = keys[first]
         indptr = np.searchsorted(keys, np.arange(len(dataset) + 1, dtype=np.int64) * dim)
         keys &= dim - 1
         return cls(indptr=indptr, flat_indices=keys.astype(np.int32), flat_values=counts,
                    dim=dim, max_tokens=max_tokens)
+
+    def distinct_ids(self) -> np.ndarray:
+        """The sorted distinct feature ids, in the matrix's id dtype."""
+        ids = np.sort(self.flat_indices)
+        return ids[_run_starts(ids)]
 
     def take(self, rows) -> "FeatureMatrix":
         """The given rows, in the given order (repeats allowed)."""
@@ -180,6 +191,20 @@ class FeatureMatrix:
         return out
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``keys`` starts.
+
+    A sort and this mask stand in for numpy's ``unique``, which in numpy 2.4
+    takes a hash-table path on integers: on the 72k int32 ids of a probe
+    slice it is over 10x slower than a sort and can leave megabytes of
+    fragmented heap behind.
+    """
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[:1] = True  # empty keys have no run to start
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    return run_start
+
+
 def probabilities(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, max-subtracted so large finite logits cannot overflow."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -213,7 +238,8 @@ def loss_and_grad(model: LinearModel, batch: FeatureMatrix,
     loss = -float(np.log(np.maximum(delta[rows, labels], 1e-300)).sum()) * inv
     delta[rows, labels] -= 1.0
     delta *= inv
-    cols, at = np.unique(batch.flat_indices, return_inverse=True)
+    cols = batch.distinct_ids()
+    at = np.searchsorted(cols, batch.flat_indices)
     row_of_entry = np.repeat(rows, np.diff(batch.indptr))
     gw = np.empty((model.class_count, len(cols)), dtype=np.float64)
     for c in range(model.class_count):
@@ -230,16 +256,6 @@ class OptimizerState:
 
     The effective rate for the update at step count t (0-based, pre-update)
     is base_lr * max(0, 1 - t/total_steps); t increments once per update.
-
-    ``live_cols`` is the sorted set of weight columns AdamW updates. Every
-    column outside it is zero in the weights and in both moments, and an
-    AdamW step leaves such a column at zero, so skipping it changes no bit.
-    The set is seeded at the first AdamW step from the columns that are
-    non-zero (or NaN) in any of the three, and grows by each step's
-    gradient columns until it holds more than ``DENSE_LIVE_SHARE`` of them;
-    from then on every step updates all columns and the set is not read.
-    The set pays off for the full-width probe (``build_probe_scorer``);
-    ``run_training``'s model spans only its train columns and soon goes dense.
     """
 
     kind: str = "adamw"
@@ -254,7 +270,6 @@ class OptimizerState:
     v_w: np.ndarray | None = None
     m_b: np.ndarray | None = None
     v_b: np.ndarray | None = None
-    live_cols: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adamw"):
@@ -281,44 +296,8 @@ class OptimizerState:
         return self.base_lr * max(0.0, 1.0 - self.t / self.total_steps)
 
 
-# Past this share of live columns, gathering and scattering them costs about
-# as much as sweeping every column in place. Measured per step at dim 2**16
-# with 2 and 4 classes, the live path takes 0.15-0.3x the sweep's time at 1%
-# live, 0.8-1.0x at 20%, 1.0-1.2x at 30% and 5x at 100%.
-DENSE_LIVE_SHARE = 0.2
-
-
-def _live_columns(model: LinearModel, grads: SparseGrads, state: OptimizerState):
-    """The sorted columns this AdamW step must update, or None for all of them."""
-    live = state.live_cols
-    if live is None:
-        # -0.0 counts as live: the dense update turns a -0.0 weight into +0.0
-        live = np.flatnonzero(np.any(
-            (model.weights != 0) | np.signbit(model.weights)
-            | (state.m_w != 0) | (state.v_w != 0), axis=0))
-    if live.size > DENSE_LIVE_SHARE * model.dim:
-        state.live_cols = live
-        return None
-    at = np.searchsorted(live, grads.cols)
-    missing = at == live.size
-    missing[~missing] = live[at[~missing]] != grads.cols[~missing]
-    if missing.any():
-        live = np.insert(live, at[missing], grads.cols[missing])
-    state.live_cols = live
-    return live
-
-
 def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState):
-    """Apply one update in place; returns (model, state) for convenience.
-
-    AdamW touches only ``state.live_cols`` while that set is small, which is
-    what keeps the full-width probe's steps cheap: the columns outside it
-    are zero in the weights and both moments, where the dense update would
-    leave them zero. Both ways apply the same operations
-    to every updated element, so they give the same bits. Set parameters
-    directly only before the state's first AdamW step; a column set later
-    is not updated until a gradient touches it.
-    """
+    """Apply one update in place; returns (model, state) for convenience."""
     if not (np.all(np.isfinite(grads.weight_vals)) and np.all(np.isfinite(grads.bias))):
         raise FloatingPointError("non-finite gradient; aborting the run")
     lr = state.effective_lr()
@@ -328,36 +307,24 @@ def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState
             model.bias -= lr * grads.bias
     else:
         b1, b2 = state.beta1, state.beta2
-        live = _live_columns(model, grads, state)
-        if live is None:
-            m_w, v_w, weights, pos = state.m_w, state.v_w, model.weights, grads.cols
-        else:
-            m_w, v_w, weights = (np.take(a, live, axis=1)
-                                 for a in (state.m_w, state.v_w, model.weights))
-            pos = np.searchsorted(live, grads.cols)
-        m_w *= b1
-        m_w[:, pos] += (1 - b1) * grads.weight_vals
-        v_w *= b2
-        v_w[:, pos] += (1 - b2) * grads.weight_vals ** 2
+        state.m_w *= b1
+        state.m_w[:, grads.cols] += (1 - b1) * grads.weight_vals
+        state.v_w *= b2
+        state.v_w[:, grads.cols] += (1 - b2) * grads.weight_vals ** 2
         state.m_b = b1 * state.m_b + (1 - b1) * grads.bias
         state.v_b = b2 * state.v_b + (1 - b2) * grads.bias ** 2
         step_num = state.t + 1
         bc1 = 1 - b1 ** step_num
         bc2 = 1 - b2 ** step_num
         if lr != 0.0:
-            denom = np.sqrt(v_w / bc2) + state.epsilon
-            weights -= lr * ((m_w / bc1) / denom)
+            denom = np.sqrt(state.v_w / bc2) + state.epsilon
+            model.weights -= lr * ((state.m_w / bc1) / denom)
             if state.weight_decay:
-                weights -= lr * state.weight_decay * weights
+                model.weights -= lr * state.weight_decay * model.weights
             denom_b = np.sqrt(state.v_b / bc2) + state.epsilon
             model.bias -= lr * ((state.m_b / bc1) / denom_b)
             if state.weight_decay:
                 model.bias -= lr * state.weight_decay * model.bias
-        if live is not None:
-            # row by row: numpy scatters a 1-D row about twice as fast as a 2-D block
-            for full, part in ((state.m_w, m_w), (state.v_w, v_w), (model.weights, weights)):
-                for row in range(len(full)):
-                    full[row, live] = part[row]
     state.t += 1
     if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
         raise FloatingPointError("non-finite parameters after update; aborting the run")
@@ -370,10 +337,11 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
     """Train a throwaway classifier on a stratified slice and return it frozen.
 
     ``feats`` is the dataset's FeatureMatrix; the probe trains on the slice's
-    rows of it, and its ``logits`` then score every example, so the model can
-    stand in for pre-trained confidence when no external score file is
-    available. With probe_epochs=0 the model stays all-zero and every score
-    is exactly 0.
+    rows of it, in the slice's own columns, and is returned scattered back to
+    width ``feats.dim``, so its ``logits`` score every example and the model
+    can stand in for pre-trained confidence when no external score file is
+    available. A column the slice never uses stays +0.0. With probe_epochs=0
+    the model stays all-zero and every score is exactly 0.
     """
     if not 0 < probe_fraction <= 1:
         raise ValueError("probe_fraction must be in (0, 1]")
@@ -390,19 +358,22 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
         raise ValueError(f"probe subset smaller than one example per class "
                          f"(classes {sorted(present - got)} absent)")
 
-    model = LinearModel.zeros(dataset.class_count, feats.dim)
-    if probe_epochs > 0:
-        probe_rows = rows_of(dataset.ids, probe.ids)
-        labels = dataset.labels
-        steps_per_epoch = max(1, -(-len(probe) // batch_size))
-        state = OptimizerState.for_model(model, kind=kind, base_lr=base_lr,
-                                         total_steps=probe_epochs * steps_per_epoch)
-        rng = np.random.default_rng(seed)
-        for _ in range(probe_epochs):
-            order = rng.permutation(len(probe))
-            for start in range(0, len(probe), batch_size):
-                rows = probe_rows[order[start:start + batch_size]]
-                _, grads = loss_and_grad(model, feats.take(rows), labels[rows])
-                optimizer_step(model, grads, state)
-    return model
+    if probe_epochs <= 0:
+        return LinearModel.zeros(dataset.class_count, feats.dim)
+    probe_rows = rows_of(dataset.ids, probe.ids)
+    sliced = feats.take(probe_rows)
+    vocab = sliced.distinct_ids()
+    sliced, labels = sliced.in_columns(vocab), dataset.labels[probe_rows]
+    model = LinearModel.zeros(dataset.class_count, len(vocab))
+    steps_per_epoch = max(1, -(-len(probe) // batch_size))
+    state = OptimizerState.for_model(model, kind=kind, base_lr=base_lr,
+                                     total_steps=probe_epochs * steps_per_epoch)
+    rng = np.random.default_rng(seed)
+    for _ in range(probe_epochs):
+        order = rng.permutation(len(probe))
+        for start in range(0, len(probe), batch_size):
+            rows = order[start:start + batch_size]
+            _, grads = loss_and_grad(model, sliced.take(rows), labels[rows])
+            optimizer_step(model, grads, state)
+    return model.scatter(vocab, feats.dim)
 

@@ -330,7 +330,7 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         score_table = tables[0] if score_table is None else score_table
         val_table = tables[1]
 
-    vocab = np.unique(feats_train.flat_indices)
+    vocab = feats_train.distinct_ids()
     feats_train, feats_val, feats_test = (f.in_columns(vocab) for f in features)
     N = len(train_ds)
     model = LinearModel.zeros(train_ds.class_count, len(vocab))
@@ -377,9 +377,6 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
             snapshots.append(model.copy())
 
     test_metrics, test_loss = evaluate(best_model, test_ds, feats_test)
-    hashed = LinearModel.zeros(best_model.class_count, config.dim)
-    hashed.weights[:, vocab] = best_model.weights
-    hashed.bias[:] = best_model.bias
     histograms = None
     if config.rescore:
         rescore_ds, rescore_feats, initial = ((val_ds, feats_val, val_table) if rescore_val
@@ -391,7 +388,8 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
         batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
         best_checkpoint_index=best_index, test_metrics=test_metrics,
         test_mean_loss=test_loss, score_histograms=histograms)
-    return TrainOutcome(report=report, best_model=hashed, score_table=score_table)
+    return TrainOutcome(report=report, best_model=best_model.scatter(vocab, config.dim),
+                        score_table=score_table)
 
 
 def rescore_analysis(snapshots, dataset: Dataset, feats: FeatureMatrix,

@@ -380,6 +380,33 @@ def test_analyze_refuses_a_string_epoch_tag(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("record", [
+    {"id": 2 ** 63, "probs": [0.5, 0.5]},
+    {"id": -2 ** 63 - 1, "probs": [0.5, 0.5]},
+    {"id": 10 ** 30, "probs": [0.5, 0.5]},
+    {"id": 1, "probs": [0.5, 0.5], "epoch": 2 ** 63},
+], ids=["id_2**63", "id_-2**63-1", "id_10**30", "epoch_2**63"])
+def test_analyze_refuses_ids_and_epochs_past_int64(tmp_path, capsys, record):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(json.dumps({"id": 0, "probs": [0.5, 0.5]}) + "\n"
+                      + json.dumps(record) + "\n")
+    out = tmp_path / "h.csv"
+    rc = main(["analyze", str(scores), "--bins", "2", "--out", str(out)])
+    assert rc == 1
+    assert (f"{scores}: id or epoch outside the int64 range at line 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_analyze_takes_ids_at_the_int64_bounds(tmp_path):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(json.dumps({"id": -2 ** 63, "probs": [0.5, 0.5], "epoch": 2 ** 63 - 1})
+                      + "\n" + json.dumps({"id": 2 ** 63 - 1, "probs": [0.9, 0.1]}) + "\n")
+    out = tmp_path / "h.csv"
+    assert main(["analyze", str(scores), "--bins", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[4] == str(2 ** 63 - 1)
+
+
 def test_analyze_predictions_split_and_mismatch(tmp_path, capsys):
     scores = tmp_path / "s.jsonl"
     write_scores(scores, 6)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curlearn import toy_model
-from curlearn.dataset_io import Dataset, Example, tokenize
+from curlearn.dataset_io import Dataset, Example, rows_of, stratified_split, tokenize
 from curlearn.scoring import score_dataset
 from curlearn.toy_model import (FeatureMatrix, LinearModel, OptimizerState,
                                 build_probe_scorer, featurize, loss_and_grad,
@@ -250,6 +250,24 @@ def softmax(logits):
     return probabilities(np.asarray([logits], dtype=np.float64))[0]
 
 
+def test_distinct_ids_match_numpy_unique():
+    rng = np.random.default_rng(21)
+    cases = [csr([], 8), csr([(np.empty(0, np.int64), np.empty(0))] * 3, 8)]
+    for _ in range(60):
+        D = int(rng.choice([8, 64, 1024]))
+        vectors = []
+        for _ in range(int(rng.integers(1, 30))):
+            k = int(rng.integers(0, min(D, 9) + 1))
+            vectors.append((np.sort(rng.choice(D, size=k, replace=False)), np.ones(k)))
+        cases.append(csr(vectors, D))
+    ds = Dataset(examples=[Example(id=i, text=" ".join(f"t{rng.integers(40)}" for _ in range(7)),
+                                   label=0) for i in range(50)], class_count=2)
+    cases.append(FeatureMatrix.build(ds, 64))  # int32 ids
+    for feats in cases:
+        got, want = feats.distinct_ids(), np.unique(feats.flat_indices)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_softmax_symmetric():
     assert softmax([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
@@ -416,9 +434,6 @@ def test_narrow_built_matrix_gives_the_bits_of_its_wide_cast():
         optimizer_step(models[0], grads_n, states[0])
         optimizer_step(models[1], grads_w, states[1])
     assert np.array_equal(models[0].weights, models[1].weights)
-    live = states[0].live_cols
-    assert live.dtype == np.int64 and np.all(np.diff(live) > 0)
-    assert np.array_equal(live, states[1].live_cols)
 
 
 def test_zero_model_binary_loss_is_ln2():
@@ -550,14 +565,9 @@ def _random_sparse_grads(rng, class_count, pool):
                        bias=rng.normal(size=class_count))
 
 
-@pytest.mark.parametrize("dense_share", [1.0, toy_model.DENSE_LIVE_SHARE],
-                         ids=["live_only", "switching"])
 @pytest.mark.parametrize("case", ["preset_weight", "negative_zero", "lr_zero",
                                   "nan_untouched"])
-def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, monkeypatch):
-    # live_only never switches to the in-place sweep; switching crosses the
-    # default share mid-run, so both update paths and the switch are checked
-    monkeypatch.setattr(toy_model, "DENSE_LIVE_SHARE", dense_share)
+def test_adamw_matches_dense_reference_bit_for_bit(case):
     rng = np.random.default_rng(11)
     C, D, pool, steps = 3, 512, 300, 220
     untouched = 400  # outside the gradient pool
@@ -569,11 +579,9 @@ def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, monkeypatc
         ref.weights[1, untouched] = model.weights[1, untouched] = -0.0
     ref_state = OptimizerState.for_model(ref, base_lr=0.05, total_steps=total)
     state = OptimizerState.for_model(model, base_lr=0.05, total_steps=total)
-    live_sizes = []
     for step in range(steps):
         grads = _random_sparse_grads(rng, C, pool)
         if case == "nan_untouched" and step == 50:
-            assert untouched not in state.live_cols
             ref.weights[2, untouched] = model.weights[2, untouched] = np.nan
             with pytest.raises(FloatingPointError):
                 _dense_adamw_step(ref, grads, ref_state)
@@ -582,10 +590,6 @@ def test_adamw_matches_dense_reference_bit_for_bit(case, dense_share, monkeypatc
             return
         _dense_adamw_step(ref, grads, ref_state)
         optimizer_step(model, grads, state)
-        live_sizes.append(len(state.live_cols))
-    if dense_share < 1.0:
-        assert live_sizes[10] <= dense_share * D < live_sizes[-1]
-    assert live_sizes[-1] < D
     for want, got in ((ref.weights, model.weights), (ref.bias, model.bias),
                       (ref_state.m_w, state.m_w), (ref_state.v_w, state.v_w),
                       (ref_state.m_b, state.m_b), (ref_state.v_b, state.v_b)):
@@ -667,6 +671,90 @@ def test_probe_training_is_bit_deterministic():
                            probe_epochs=3, seed=9)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
+
+
+def probe_slice_rows(ds, probe_fraction, seed):
+    """The rows of ``ds`` that build_probe_scorer trains on."""
+    if probe_fraction == 1:
+        return np.arange(len(ds))
+    probe = stratified_split(ds, [probe_fraction, 1 - probe_fraction], seed=seed,
+                             tags=("train", "train"))[0]
+    return rows_of(ds.ids, probe.ids)
+
+
+def reference_probe(ds, feats, probe_fraction, probe_epochs, seed, kind, batch_size=16):
+    """The full-width probe loop build_probe_scorer replaced: a (C, dim)
+    model stepped by the dense AdamW reference or the plain SGD update, on
+    the same slice, permutations and batches."""
+    probe_rows = probe_slice_rows(ds, probe_fraction, seed)
+    model = LinearModel.zeros(ds.class_count, feats.dim)
+    steps = probe_epochs * -(-len(probe_rows) // batch_size)
+    state = OptimizerState.for_model(model, kind=kind, total_steps=steps)
+    rng = np.random.default_rng(seed)
+    for _ in range(probe_epochs):
+        order = rng.permutation(len(probe_rows))
+        for start in range(0, len(probe_rows), batch_size):
+            rows = probe_rows[order[start:start + batch_size]]
+            _, grads = loss_and_grad(model, feats.take(rows), ds.labels[rows])
+            if kind == "adamw":
+                _dense_adamw_step(model, grads, state)
+                continue
+            lr = state.effective_lr()
+            if lr != 0.0:
+                model.weights[:, grads.cols] -= lr * grads.weight_vals
+                model.bias -= lr * grads.bias
+            state.t += 1
+    return model
+
+
+def corpus_with_private_words(n=48, seed=5):
+    """Class words shared across rows plus one word private to each row, so
+    a probe slice misses columns the other rows use."""
+    rng = np.random.default_rng(seed)
+    examples = [Example(id=i, text=" ".join([f"c{i % 2}w{w}" for w in rng.integers(0, 12, 5)]
+                                            + [f"own{i}"]), label=i % 2) for i in range(n)]
+    return Dataset(examples=examples, class_count=2)
+
+
+@pytest.mark.parametrize("kind", ["adamw", "sgd"])
+@pytest.mark.parametrize("probe_fraction", [0.5, 1.0])
+@pytest.mark.parametrize("probe_epochs", [1, 2])
+def test_probe_matches_full_width_reference_bit_for_bit(kind, probe_fraction, probe_epochs):
+    ds = corpus_with_private_words()
+    feats = FeatureMatrix.build(ds, DIM)
+    want = reference_probe(ds, feats, probe_fraction, probe_epochs, 4, kind)
+    got = build_probe_scorer(ds, feats, probe_fraction=probe_fraction,
+                             probe_epochs=probe_epochs, seed=4, kind=kind)
+    assert got.weights.shape == (2, DIM)
+    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
+    outside = np.ones(DIM, dtype=bool)
+    outside[feats.take(probe_slice_rows(ds, probe_fraction, 4)).flat_indices] = False
+    if probe_fraction < 1:  # the slice misses columns other rows use
+        assert outside[feats.flat_indices].any()
+    assert not got.weights[:, outside].any() and not np.signbit(got.weights[:, outside]).any()
+
+
+def test_probe_trains_in_its_slice_columns(monkeypatch):
+    ds = corpus_with_private_words()
+    feats = FeatureMatrix.build(ds, DIM)
+    vocab = np.unique(feats.take(probe_slice_rows(ds, 0.5, 4)).flat_indices)
+    widths, zeros_widths = [], []
+    real_loss, real_zeros = toy_model.loss_and_grad, LinearModel.zeros.__func__
+
+    def loss_spy(model, batch, labels):
+        widths.append(model.dim)
+        return real_loss(model, batch, labels)
+
+    def zeros_spy(cls, class_count, dim):
+        zeros_widths.append(dim)
+        return real_zeros(cls, class_count, dim)
+
+    monkeypatch.setattr(toy_model, "loss_and_grad", loss_spy)
+    monkeypatch.setattr(LinearModel, "zeros", classmethod(zeros_spy))
+    build_probe_scorer(ds, feats, probe_fraction=0.5, probe_epochs=2, seed=4)
+    assert 0 < len(vocab) < len(np.unique(feats.flat_indices))
+    assert len(widths) == 2 * 2 and set(widths) == {len(vocab)}  # 24 rows, batches of 16
+    assert zeros_widths == [len(vocab), DIM]
 
 
 def test_epoch_loss_strictly_decreases_on_separable_data():
