@@ -25,15 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .dataset_io import (Dataset, load_dataset, open_atomic, read_predictions,
-                         read_score_file, rows_of)
+from .dataset_io import load_dataset, open_atomic, read_predictions, read_score_file
 from .samplers import Strategy, write_plan_jsonl
 from .scoring import score_histogram, score_table_from_probs, write_histogram_csv
-from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, TrainConfig, aggregate_runs,
-                      epoch_plans, featurize_splits, few_shot_select,
-                      resolve_score_table, run_training,
-                      write_aggregate_csv, write_aggregate_text, write_checkpoint_csv,
-                      write_report_json)
+from .trainer import (AGGREGATE_COLUMNS, FEWSHOT_STREAM, Cell, TrainConfig, aggregate_runs,
+                      epoch_plans, featurize_splits, few_shot_select, resolve_score_table,
+                      train_grid, write_aggregate_csv, write_aggregate_text,
+                      write_checkpoint_csv, write_report_json)
 
 
 class Setting(NamedTuple):
@@ -242,6 +240,8 @@ def resolve_settings(args, defaults=None) -> dict:
         value = getattr(args, s.dest, None) if s.dest else None
         if value is not None:
             settings[key] = value
+    if settings["compare.jobs"] < 1:
+        raise ValueError(f"compare.jobs must be >= 1, got {settings['compare.jobs']}")
     return settings
 
 
@@ -306,53 +306,57 @@ def _write_run_outputs(out_dir: Path, prefix: str, report) -> None:
 # ---------------------------------------------------------------- grid runner
 
 
-@dataclasses.dataclass
-class Cell:
-    """One (strategy, seed) training run and everything it reads."""
-
-    config: TrainConfig
-    seed: int
-    splits: tuple[Dataset, Dataset, Dataset]  # train (or few-shot subset), val, test
-    tables: tuple  # train and validation ScoreTable from one probe, None when unused
-    features: tuple  # the splits' FeatureMatrix, in the same order
-
-
-def _run_cell(cell: Cell, out_dir: Path, prefix: str):
-    """Train one cell and write its outputs; a failure comes back as its message."""
+def _run_share(cells, splits, features, out_dir: Path, prefix: str):
+    """Train a share of a grid's cells in lockstep and write each finished
+    cell's outputs; per cell, its report or the message that failed it."""
     try:
-        table, val_table = cell.tables
-        report = run_training(*cell.splits, cell.config, seed=cell.seed, score_table=table,
-                              features=cell.features, val_table=val_table).report
-        _write_run_outputs(out_dir, prefix, report)
-        return report, None
+        outcomes = train_grid(cells, splits, features)
     except Exception as err:  # noqa: BLE001 - the grid marks the gap and keeps going
-        return None, str(err)
+        return [(None, str(err))] * len(cells)
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            results.append((None, str(outcome)))
+            continue
+        try:
+            _write_run_outputs(out_dir, prefix, outcome.report)
+            results.append((outcome.report, None))
+        except Exception as err:  # noqa: BLE001
+            results.append((None, str(err)))
+    return results
 
 
-def run_grid(cells, jobs: int, out_dir: Path, prefix: str = "") -> tuple[dict, bool]:
-    """Run every cell, in ``jobs`` worker processes when jobs > 1.
+def run_grid(cells, splits, features, jobs: int, out_dir: Path,
+             prefix: str = "") -> tuple[dict, bool]:
+    """Run every cell: all in one lockstep share, or with jobs > 1 in
+    ``jobs`` shares of consecutive cells, one per worker process.
 
+    ``splits`` and ``features`` are the grid's, as ``train_grid`` takes them.
     A failed cell is reported on stderr and the others still run. Returns
     the finished reports keyed by (strategy name, seed) and whether any
     cell failed.
     """
-    run = functools.partial(_run_cell, out_dir=out_dir, prefix=prefix)
+    n = min(jobs, len(cells))
+    shares = [cells[i * len(cells) // n:(i + 1) * len(cells) // n] for i in range(n)]
+    run = functools.partial(_run_share, splits=splits, features=features, out_dir=out_dir,
+                            prefix=prefix)
     reports, failed = {}, False
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=n) if n > 1
           else contextlib.nullcontext()) as pool:
-        futures = [pool.submit(run, cell) if pool else None for cell in cells]
-        for cell, future in zip(cells, futures):
+        futures = [pool.submit(run, share) if pool else None for share in shares]
+        for share, future in zip(shares, futures):
             try:
-                report, error = future.result() if future else run(cell)
+                results = future.result() if future else run(share)
             except concurrent.futures.BrokenExecutor as err:  # a worker process died
-                report, error = None, str(err)
-            name = cell.config.strategy.value
-            if error is None:
-                reports[(name, cell.seed)] = report
-            else:
-                failed = True
-                print(f"curlearn: run failed: {name} seed {cell.seed}: {error}",
-                      file=sys.stderr)
+                results = [(None, str(err))] * len(share)
+            for cell, (report, error) in zip(share, results):
+                name = cell.config.strategy.value
+                if error is None:
+                    reports[(name, cell.seed)] = report
+                else:
+                    failed = True
+                    print(f"curlearn: run failed: {name} seed {cell.seed}: {error}",
+                          file=sys.stderr)
     return reports, failed
 
 
@@ -421,27 +425,25 @@ def cmd_plan(args) -> int:
 def cmd_train(args) -> int:
     settings, config, splits, out_dir, features, tables = _prepare_grid(
         args, [Strategy.parse(args.strategy)])
-    cells = [Cell(config, seed, splits, tables, features) for seed in config.seeds]
-    _, failed = run_grid(cells, 1, out_dir)
+    cells = [Cell(config, seed, splits[0], *tables) for seed in config.seeds]
+    _, failed = run_grid(cells, splits, features, 1, out_dir)
     return _finish_grid(args, settings, failed)
 
 
 def cmd_fewshot(args) -> int:
-    settings, config, (train_ds, val_ds, test_ds), out_dir, features, tables = _prepare_grid(
+    settings, config, splits, out_dir, features, tables = _prepare_grid(
         args, [Strategy.parse(args.strategy)], few_shot=True)
     table, val_table = tables
     cells = []
     for seed in config.seeds:
         rng = np.random.default_rng((seed, FEWSHOT_STREAM))
-        subset = few_shot_select(config.strategy, table, train_ds, k=settings["fewshot.k"],
+        subset = few_shot_select(config.strategy, table, splits[0], k=settings["fewshot.k"],
                                  rng=rng, batch_size=config.batch_size,
                                  max_tokens=config.max_tokens)
-        cells.append(Cell(config, seed, (subset, val_ds, test_ds),
-                          (table.restrict(subset.ids) if table is not None else None,
-                           val_table),
-                          (features[0].take(rows_of(train_ds.ids, subset.ids)),
-                           *features[1:])))
-    _, failed = run_grid(cells, 1, out_dir, prefix="fewshot_")
+        cells.append(Cell(config, seed, subset,
+                          table.restrict(subset.ids) if table is not None else None,
+                          val_table))
+    _, failed = run_grid(cells, splits, features, 1, out_dir, prefix="fewshot_")
     return _finish_grid(args, settings, failed)
 
 
@@ -473,10 +475,9 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     strategies = [Strategy.parse(s) for s in args.strategies]
     settings, config, splits, out_dir, features, tables = _prepare_grid(args, strategies)
-    cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits, tables,
-                  features)
+    cells = [Cell(dataclasses.replace(config, strategy=strategy), seed, splits[0], *tables)
              for strategy in strategies for seed in config.seeds]
-    reports, failed = run_grid(cells, settings["compare.jobs"], out_dir)
+    reports, failed = run_grid(cells, splits, features, settings["compare.jobs"], out_dir)
 
     rows = []
     for strategy in strategies:

@@ -16,6 +16,13 @@ rows of such a matrix, and its ``logits`` method is the one place logits
 are computed. ``FeatureMatrix.in_columns`` maps a matrix onto the columns a
 training split uses, so every model (a run's and the probe's) trains at that
 width, a few hundred columns for a small split, instead of ``dim``.
+
+A grid model stacks K same-shaped models block-diagonally: cell k owns
+columns k*W ... k*W + W - 1 of one (C, K*W) weight matrix and row k of a
+(K, C) bias, so a grid of runs takes one gradient and one optimizer step
+per batch. Every operation either is per element or per row, or adds one
+cell's rows in that cell's row order, so each cell's numbers are bit for bit
+those of the same run trained alone.
 """
 
 from __future__ import annotations
@@ -67,8 +74,8 @@ def _piece_columns(prefix: str, text: str, dim: int, memo: dict[str, int]) -> li
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray  # (C, D)
-    bias: np.ndarray     # (C,)
+    weights: np.ndarray  # (C, D); a grid model's D is K blocks of W columns
+    bias: np.ndarray     # (C,), or a grid model's (K, C): one row per cell
 
     @classmethod
     def zeros(cls, class_count: int, dim: int) -> "LinearModel":
@@ -82,6 +89,10 @@ class LinearModel:
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def cells(self) -> int:
+        return 1 if self.bias.ndim == 1 else self.bias.shape[0]
 
     def copy(self) -> "LinearModel":
         return LinearModel(weights=self.weights.copy(), bias=self.bias.copy())
@@ -174,20 +185,44 @@ class FeatureMatrix:
                        flat_indices=pos[keep].astype(self.flat_indices.dtype),
                        flat_values=self.flat_values[keep], dim=len(vocab))
 
-    def logits(self, model: LinearModel) -> np.ndarray:
-        """(rows, C) logits: bias plus each row's features summed in column order."""
-        if model.dim != self.dim:
-            raise ValueError(f"model dim {model.dim} != feature dim {self.dim}")
-        out = np.empty((self.n_rows, model.class_count), dtype=np.float64)
-        for lo in range(0, self.n_rows, LOGITS_BLOCK_ROWS):
-            hi = min(lo + LOGITS_BLOCK_ROWS, self.n_rows)
+    def logits(self, model: LinearModel, every_cell: bool = False) -> np.ndarray:
+        """(rows, C) logits: bias plus each row's features summed in column order.
+
+        For a grid model of K cells, the rows come in K equal runs, run k
+        scored by cell k. Without ``every_cell`` they are this matrix's rows
+        (a grid batch, each run's ids in its cell's block of columns). With
+        ``every_cell`` this matrix is at one block's width, and each cell
+        scores all of its rows: the result has K * rows rows.
+        """
+        cells = model.cells
+        width = cells * self.dim if every_cell else self.dim
+        if model.dim != width:
+            raise ValueError(f"model dim {model.dim} != feature dim {width}")
+        runs = cells if every_cell else 1
+        rows = self.n_rows * runs
+        if rows % cells:
+            raise ValueError(f"{rows} rows do not split evenly over {cells} cells")
+        out = np.empty((runs, self.n_rows, model.class_count), dtype=np.float64)
+        # each block holds at most LOGITS_BLOCK_ROWS output rows
+        step = max(1, LOGITS_BLOCK_ROWS // runs)
+        for lo in range(0, self.n_rows, step):
+            hi = min(lo + step, self.n_rows)
             first, last = self.indptr[lo], self.indptr[hi]
             row_of_entry = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
             idx, vals = self.flat_indices[first:last], self.flat_values[first:last]
+            if every_cell:  # cell k reads its block's columns into bins k*(hi - lo) + row
+                idx = (np.arange(runs)[:, None] * self.dim + idx).ravel()
+                vals = np.tile(vals, runs)
+                row_of_entry = (np.arange(runs)[:, None] * (hi - lo) + row_of_entry).ravel()
             for c in range(model.class_count):
-                out[lo:hi, c] = np.bincount(row_of_entry, weights=model.weights[c, idx] * vals,
-                                            minlength=hi - lo)
-        out += model.bias
+                sums = np.bincount(row_of_entry, weights=model.weights[c, idx] * vals,
+                                   minlength=runs * (hi - lo))
+                out[:, lo:hi, c] = sums.reshape(runs, hi - lo)
+        out = out.reshape(rows, model.class_count)
+        if model.bias.ndim == 1:
+            out += model.bias
+        else:
+            out.reshape(cells, rows // cells, model.class_count)[:] += model.bias[:, None, :]
         return out
 
 
@@ -218,24 +253,32 @@ class SparseGrads:
 
     cols: np.ndarray         # unique touched feature ids, in the batch's id dtype
     weight_vals: np.ndarray  # (C, len(cols))
-    bias: np.ndarray         # (C,)
+    bias: np.ndarray         # the model's bias shape
 
 
 def loss_and_grad(model: LinearModel, batch: FeatureMatrix,
-                  labels) -> tuple[float, SparseGrads]:
+                  labels) -> tuple[float | np.ndarray, SparseGrads]:
     """Mean cross-entropy over the rows of ``batch`` and their ``labels``.
 
     The logit gradient is (p - onehot)/rows, pushed onto the touched columns
     and the bias. Each column and the bias add their rows' terms in row
     order, starting from zero, as a loop over the rows would.
+
+    For a grid model the batch holds each cell's rows in turn, the same
+    number for every cell (see ``FeatureMatrix.logits``): "rows" is that
+    per-cell count, the bias gradient is (K, C), and the loss is an array of
+    each cell's mean.
     """
-    n = batch.n_rows
+    n, cells, grid = batch.n_rows, model.cells, model.bias.ndim == 2
     if n == 0:
         raise ValueError("empty batch")
-    inv = 1.0 / n
+    per_cell = n // cells
+    inv = 1.0 / per_cell
     rows = np.arange(n)
     delta = probabilities(batch.logits(model))
-    loss = -float(np.log(np.maximum(delta[rows, labels], 1e-300)).sum()) * inv
+    log_p = np.log(np.maximum(delta[rows, labels], 1e-300))
+    loss = (-log_p.reshape(cells, per_cell).sum(axis=1) * inv if grid
+            else -float(log_p.sum()) * inv)
     delta[rows, labels] -= 1.0
     delta *= inv
     cols = batch.distinct_ids()
@@ -246,7 +289,8 @@ def loss_and_grad(model: LinearModel, batch: FeatureMatrix,
         gw[c] = np.bincount(at, weights=delta[row_of_entry, c] * batch.flat_values,
                             minlength=len(cols))
     # numpy sums along a non-contiguous axis one row after another
-    gb = delta.sum(axis=0, initial=0.0)
+    gb = (delta.reshape(cells, per_cell, -1).sum(axis=1, initial=0.0) if grid
+          else delta.sum(axis=0, initial=0.0))
     return loss, SparseGrads(cols=cols, weight_vals=gw, bias=gb)
 
 
@@ -296,10 +340,18 @@ class OptimizerState:
         return self.base_lr * max(0.0, 1.0 - self.t / self.total_steps)
 
 
+NONFINITE_GRADIENT = "non-finite gradient; aborting the run"
+NONFINITE_PARAMETERS = "non-finite parameters after update; aborting the run"
+
+
 def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState):
-    """Apply one update in place; returns (model, state) for convenience."""
+    """Apply one update in place; returns (model, state) for convenience.
+
+    Every operation is per element, so a grid model's cells update as they
+    would alone: they share the step count and so the learning rate.
+    """
     if not (np.all(np.isfinite(grads.weight_vals)) and np.all(np.isfinite(grads.bias))):
-        raise FloatingPointError("non-finite gradient; aborting the run")
+        raise FloatingPointError(NONFINITE_GRADIENT)
     lr = state.effective_lr()
     if state.kind == "sgd":
         if lr != 0.0:
@@ -327,7 +379,7 @@ def optimizer_step(model: LinearModel, grads: SparseGrads, state: OptimizerState
                 model.bias -= lr * state.weight_decay * model.bias
     state.t += 1
     if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
-        raise FloatingPointError("non-finite parameters after update; aborting the run")
+        raise FloatingPointError(NONFINITE_PARAMETERS)
     return model, state
 
 
@@ -345,6 +397,8 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
     """
     if not 0 < probe_fraction <= 1:
         raise ValueError("probe_fraction must be in (0, 1]")
+    if probe_epochs < 0:
+        raise ValueError(f"probe_epochs must be >= 0, got {probe_epochs}")
     if feats.n_rows != len(dataset):
         raise ValueError(f"features have {feats.n_rows} rows, dataset has {len(dataset)}")
     if probe_fraction < 1:
@@ -358,7 +412,7 @@ def build_probe_scorer(dataset: Dataset, feats: FeatureMatrix, probe_fraction: f
         raise ValueError(f"probe subset smaller than one example per class "
                          f"(classes {sorted(present - got)} absent)")
 
-    if probe_epochs <= 0:
+    if probe_epochs == 0:
         return LinearModel.zeros(dataset.class_count, feats.dim)
     probe_rows = rows_of(dataset.ids, probe.ids)
     sliced = feats.take(probe_rows)

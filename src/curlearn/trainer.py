@@ -7,6 +7,10 @@ batch, the validation split is evaluated every checkpoint_fraction of the
 epoch's examples, and the test split is touched exactly once with the
 parameters from the highest-validation-accuracy checkpoint (ties resolve
 to the earliest one).
+
+``train_grid`` is the one training loop. It trains a grid's runs (cells)
+in lockstep as one block-diagonal model, each cell's numbers bit for bit
+those of its run alone; ``run_training`` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -15,16 +19,16 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset_io import Dataset, load_external_scores, open_atomic, rows_of, token_lengths
 from .samplers import DEFAULT_BATCH_SIZE, EpochPlan, Strategy, make_plan
 from .scoring import HistogramReport, ScoreTable, score_dataset, score_histogram
-from .toy_model import (FeatureMatrix, LinearModel, OptimizerState,
-                        build_probe_scorer, loss_and_grad, optimizer_step,
-                        probabilities)
+from .toy_model import (NONFINITE_GRADIENT, NONFINITE_PARAMETERS, FeatureMatrix,
+                        LinearModel, OptimizerState, build_probe_scorer, loss_and_grad,
+                        optimizer_step, probabilities)
 
 # RNG substreams: epoch plans use (seed, epoch); the few-shot draw uses a
 # stream that no epoch index can collide with.
@@ -61,6 +65,10 @@ class TrainConfig:
         if isinstance(self.strategy, str):
             self.strategy = Strategy.parse(self.strategy)
         self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -69,6 +77,11 @@ class TrainConfig:
             raise ValueError("checkpoint_fraction must be in (0, 1]")
         if self.rescore_split not in ("train", "validation"):
             raise ValueError("rescore_split must be 'train' or 'validation'")
+        if self.learning_rate is not None and not (math.isfinite(self.learning_rate)
+                                                   and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.probe_epochs < 0:
+            raise ValueError(f"probe_epochs must be >= 0, got {self.probe_epochs}")
 
     def resolved_lr(self) -> float:
         if self.learning_rate is not None:
@@ -138,14 +151,21 @@ def compute_metrics(predictions, labels, class_count: int) -> Metrics:
 def evaluate(model: LinearModel, split: Dataset, feats: FeatureMatrix | None = None,
              max_tokens: int | None = None) -> tuple[Metrics, float]:
     """Deterministic metrics and mean cross-entropy on a split."""
-    if len(split) == 0:
-        raise ValueError("cannot evaluate an empty split")
-    if model.class_count != split.class_count:
-        raise ValueError(f"model has {model.class_count} classes, "
-                         f"split has {split.class_count}")
+    _check_split(model.class_count, split)
     if feats is None:
         feats = FeatureMatrix.build(split, model.dim, max_tokens)
-    probs = probabilities(feats.logits(model))
+    return _split_metrics(probabilities(feats.logits(model)), split)
+
+
+def _check_split(class_count: int, split: Dataset) -> None:
+    if len(split) == 0:
+        raise ValueError("cannot evaluate an empty split")
+    if class_count != split.class_count:
+        raise ValueError(f"model has {class_count} classes, split has {split.class_count}")
+
+
+def _split_metrics(probs: np.ndarray, split: Dataset) -> tuple[Metrics, float]:
+    """``evaluate``'s metrics and mean loss from the split's probabilities."""
     labels = split.labels
     preds = np.argmax(probs, axis=1)
     gold = np.clip(probs[np.arange(len(labels)), labels], 1e-300, None)
@@ -283,7 +303,7 @@ def featurize_splits(splits, config: TrainConfig) -> tuple[FeatureMatrix, ...]:
 def epoch_plans(config: TrainConfig, score_table: ScoreTable | None, dataset: Dataset,
                 seed: int) -> Iterator[EpochPlan]:
     """Yield the config's plan for each epoch, epoch e drawn from the substream
-    (seed, e). ``curlearn plan`` writes these plans and ``run_training``
+    (seed, e). ``curlearn plan`` writes these plans and ``train_grid``
     trains on them, so the two cannot drift apart."""
     length_index = (token_lengths(dataset, config.max_tokens)
                     if config.strategy is Strategy.LENGTH else None)
@@ -293,12 +313,30 @@ def epoch_plans(config: TrainConfig, score_table: ScoreTable | None, dataset: Da
                         batch_size=config.batch_size, length_index=length_index)
 
 
+@dataclass
+class Cell:
+    """One (strategy, seed) run of a grid.
+
+    ``config`` is the grid's config with this cell's strategy. ``train`` is
+    what the cell schedules: the grid's training split, or for ``fewshot`` a
+    subset of its rows. The tables are its scores, as ``run_training`` takes
+    them.
+    """
+
+    config: TrainConfig
+    seed: int
+    train: Dataset
+    score_table: ScoreTable | None = None
+    val_table: ScoreTable | None = None
+
+
 def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
                  config: TrainConfig, seed: int | None = None,
                  score_table: ScoreTable | None = None,
                  features: tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix] | None = None,
                  val_table: ScoreTable | None = None) -> TrainOutcome:
-    """One seeded run; returns the report plus the models behind it.
+    """One seeded run, the one-cell case of ``train_grid``; returns the
+    report plus the models behind it, and raises what failed the run.
 
     ``score_table`` and, for validation rescoring, ``val_table`` short-circuit
     scoring so a grid of runs can share the tables of one probe, mirroring
@@ -306,15 +344,10 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     (train, val, test) matrices built by ``FeatureMatrix.build`` with this
     config's ``dim`` and ``max_tokens``, does the same for featurization:
     hashing is seedless, so a grid can build them once and share them.
-
-    The model trains, is evaluated and is rescored in the train split's own
-    columns: the sorted distinct ids of the train matrix, onto which all
-    three matrices are mapped. A column outside them never gets a gradient
-    and stays exactly zero, so no metric or score moves. ``best_model`` is
-    scattered back to hashed width ``dim`` once, after training.
+    ``best_model`` is scattered back to hashed width ``dim`` once, after
+    training.
     """
     seed = config.seeds[0] if seed is None else int(seed)
-    strategy = config.strategy
     splits = (train_ds, val_ds, test_ds)
     if features is None:
         features = featurize_splits(splits, config)
@@ -322,74 +355,216 @@ def run_training(train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
             (len(ds), config.dim, config.max_tokens) for ds in splits]:
         raise ValueError("features do not match the train/val/test split sizes "
                          "or the config's dim and max_tokens")
-    feats_train, feats_val, feats_test = features
     rescore_val = config.rescore and config.rescore_split == "validation"
-    if ((score_table is None and (strategy.needs_scores or config.rescore))
+    if ((score_table is None and (config.strategy.needs_scores or config.rescore))
             or (rescore_val and val_table is None)):
-        tables = resolve_score_table(train_ds, config, feats_train, val=(val_ds, feats_val))
+        tables = resolve_score_table(train_ds, config, features[0], val=(val_ds, features[1]))
         score_table = tables[0] if score_table is None else score_table
         val_table = tables[1]
+    [outcome] = train_grid([Cell(config, seed, train_ds, score_table, val_table)],
+                           splits, features)
+    if isinstance(outcome, Exception):
+        raise outcome
+    outcome.best_model = outcome.best_model.scatter(features[0].distinct_ids(), config.dim)
+    return outcome
 
-    vocab = feats_train.distinct_ids()
+
+@dataclass
+class _Run:
+    """A cell's progress through ``train_grid``."""
+
+    cell: Cell
+    plans: Iterator[EpochPlan] | None = None
+    rows: np.ndarray | None = None  # this epoch's plan, as rows of the train split
+    checkpoints: list[CheckpointEntry] = field(default_factory=list)
+    best_acc: float = -1.0
+    best_index: int = -1
+    best_model: LinearModel | None = None
+    snapshots: list[LinearModel] = field(default_factory=list)
+    outcome: TrainOutcome | None = None
+    error: Exception | None = None
+
+
+def train_grid(cells: list[Cell], splits: tuple[Dataset, Dataset, Dataset],
+               features: tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix],
+               ) -> list[TrainOutcome | Exception]:
+    """Train a grid's cells in lockstep, as one block-diagonal model.
+
+    ``splits`` are the grid's (train, validation, test) datasets and
+    ``features`` their matrices, as ``run_training`` takes them. The cells
+    share every setting but the strategy, and their training size, so each
+    step stacks every live cell's next batch, in cell order, into one batch:
+    one ``loss_and_grad`` and one ``optimizer_step`` per step, and one
+    ``logits`` call per validation checkpoint. Every cell's report and
+    models are bit for bit those of its run alone (see ``toy_model``).
+
+    The model trains, is evaluated and is rescored in the train split's own
+    columns, ``vocab``, the sorted distinct ids of ``features[0]``, onto
+    which the three matrices are mapped once; cell k owns columns
+    k*W ... k*W + W - 1, W = len(vocab). A column a cell's rows never use
+    gets no gradient and stays +0.0, so no metric or score moves.
+
+    Returns, per cell, its outcome, whose ``best_model`` is in the columns
+    ``vocab`` (``LinearModel.scatter`` widens it), or the exception that
+    failed it. A non-finite loss, gradient or parameter, or an error in the
+    cell's own plan draw, test evaluation or rescoring, fails only that
+    cell: it leaves all later batches, and the other cells train on
+    unchanged.
+    """
+    config, n_train = cells[0].config, len(cells[0].train)
+    if any(replace(c.config, strategy=config.strategy) != config or len(c.train) != n_train
+           for c in cells):
+        raise ValueError("a grid's cells must share every setting but the strategy, "
+                         "and their training size")
+    train_ds, val_ds, test_ds = splits
+    class_count = train_ds.class_count
+    for split in (val_ds, test_ds):
+        _check_split(class_count, split)
+    marks = checkpoint_steps(n_train, config.checkpoint_fraction)
+    vocab = features[0].distinct_ids()
+    width = len(vocab)
     feats_train, feats_val, feats_test = (f.in_columns(vocab) for f in features)
-    N = len(train_ds)
-    model = LinearModel.zeros(train_ds.class_count, len(vocab))
-    steps_per_epoch = math.ceil(N / config.batch_size)
+    ids, labels = train_ds.ids, train_ds.labels
+    model = LinearModel.zeros(class_count, len(cells) * width)
+    model.bias = np.zeros((len(cells), class_count))  # one bias row per cell
+    steps_per_epoch = math.ceil(n_train / config.batch_size)
     state = OptimizerState.for_model(
         model, kind=config.optimizer, base_lr=config.resolved_lr(),
         total_steps=config.epochs * steps_per_epoch, weight_decay=config.weight_decay,
         beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
-    marks = checkpoint_steps(N, config.checkpoint_fraction)
-    ids, labels = train_ds.ids, train_ds.labels
 
-    checkpoints: list[CheckpointEntry] = []
-    best_acc, best_index, best_model = -1.0, -1, model.copy()
-    snapshots: list[LinearModel] = []
-    for epoch, plan in enumerate(epoch_plans(config, score_table, train_ds, seed)):
-        plan_rows = rows_of(ids, plan.order)
+    runs = [_Run(cell) for cell in cells]
+    live = runs  # block j of the model trains live[j]
+    for epoch in range(config.epochs):
+        for run in live:
+            try:
+                if run.plans is None:
+                    c = run.cell
+                    run.plans = epoch_plans(c.config, c.score_table, c.train, c.seed)
+                run.rows = rows_of(ids, next(run.plans).order)
+            except Exception as err:  # noqa: BLE001 - the cell fails, the grid goes on
+                run.error = err
         next_mark = 0
-        for batch_no, start in enumerate(range(0, N, config.batch_size)):
-            rows = plan_rows[start:start + config.batch_size]
-            loss, grads = loss_and_grad(model, feats_train.take(rows), labels[rows])
-            if not math.isfinite(loss):
-                raise RuntimeError(
+        for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
+            live = _drop_failed(live, model, state, width)
+            if not live:
+                break
+            rows = np.stack([run.rows[start:start + config.batch_size] for run in live])
+            batch = feats_train.take(rows.ravel())
+            # cell j's entries move to its block of columns
+            shift = np.repeat(np.arange(len(live)) * width,
+                              np.diff(batch.indptr[::rows.shape[1]]))
+            batch = replace(batch, flat_indices=batch.flat_indices + shift,
+                            dim=len(live) * width)
+            loss, grads = loss_and_grad(model, batch, labels[rows.ravel()])
+            for j in np.flatnonzero(~np.isfinite(loss)):
+                live[j].error = RuntimeError(
                     f"non-finite loss at epoch {epoch} batch {batch_no} "
-                    f"(ids {ids[rows[:8]].tolist()}...)")
-            optimizer_step(model, grads, state)
-            seen = start + len(rows)
+                    f"(ids {ids[rows[j, :8]].tolist()}...)")
+            cell_of = grads.cols // max(width, 1)
+            _fail(live, _nonfinite_cells(grads.weight_vals, cell_of, grads.bias),
+                  NONFINITE_GRADIENT)
+            failed = np.array([run.error is not None for run in live])
+            if failed.any():  # a failed cell's block takes no gradient
+                grads.weight_vals[:, failed[cell_of]] = 0.0
+                grads.bias[failed] = 0.0
+            try:
+                optimizer_step(model, grads, state)
+            except FloatingPointError:
+                bad = _nonfinite_cells(model.weights, np.repeat(np.arange(len(live)), width),
+                                       model.bias)
+                if not bad.any():
+                    raise
+                _fail(live, bad, NONFINITE_PARAMETERS)
+            seen = start + rows.shape[1]
             crossed = []
             while next_mark < len(marks) and marks[next_mark] <= seen:
                 crossed.append(marks[next_mark])
                 next_mark += 1
-            if crossed:
-                metrics, mean_loss = evaluate(model, val_ds, feats_val)
-                for mark in crossed:
-                    checkpoints.append(CheckpointEntry(
-                        epoch=epoch, examples_seen_epoch=mark,
-                        fraction_of_epoch=mark / N,
-                        fraction_seen=(epoch * N + mark) / (config.epochs * N),
-                        metrics=metrics, mean_loss=mean_loss))
-                    if metrics.accuracy > best_acc:
-                        best_acc = metrics.accuracy
-                        best_index = len(checkpoints) - 1
-                        best_model = model.copy()
+            live = _drop_failed(live, model, state, width)
+            if crossed and live:
+                probs = probabilities(feats_val.logits(model, every_cell=True))
+                for j, run in enumerate(live):
+                    metrics, mean_loss = _split_metrics(
+                        probs[j * len(val_ds):(j + 1) * len(val_ds)], val_ds)
+                    for mark in crossed:
+                        run.checkpoints.append(CheckpointEntry(
+                            epoch=epoch, examples_seen_epoch=mark,
+                            fraction_of_epoch=mark / n_train,
+                            fraction_seen=(epoch * n_train + mark) / (config.epochs * n_train),
+                            metrics=metrics, mean_loss=mean_loss))
+                        if metrics.accuracy > run.best_acc:
+                            run.best_acc = metrics.accuracy
+                            run.best_index = len(run.checkpoints) - 1
+                            run.best_model = _block(model, j, width)
         if config.rescore:
-            snapshots.append(model.copy())
+            for j, run in enumerate(live):
+                run.snapshots.append(_block(model, j, width))
 
-    test_metrics, test_loss = evaluate(best_model, test_ds, feats_test)
-    histograms = None
-    if config.rescore:
-        rescore_ds, rescore_feats, initial = ((val_ds, feats_val, val_table) if rescore_val
-                                              else (train_ds, feats_train, score_table))
-        histograms = rescore_analysis(snapshots, rescore_ds, rescore_feats, initial_table=initial,
-                                      bins=config.histogram_bins)
-    report = RunReport(
-        strategy=strategy.value, seed=seed, epochs=config.epochs,
-        batch_size=config.batch_size, n_train=N, checkpoints=checkpoints,
-        best_checkpoint_index=best_index, test_metrics=test_metrics,
-        test_mean_loss=test_loss, score_histograms=histograms)
-    return TrainOutcome(report=report, best_model=best_model.scatter(vocab, config.dim),
-                        score_table=score_table)
+    rescore_val = config.rescore and config.rescore_split == "validation"
+    for run in runs:
+        if run.error is not None:
+            continue
+        cell = run.cell
+        try:
+            test_metrics, test_loss = evaluate(run.best_model, test_ds, feats_test)
+            histograms = None
+            if config.rescore:
+                if rescore_val:
+                    ds, feats, initial = val_ds, feats_val, cell.val_table
+                else:
+                    ds, initial = cell.train, cell.score_table
+                    feats = feats_train.take(rows_of(ids, cell.train.ids))
+                histograms = rescore_analysis(run.snapshots, ds, feats, initial_table=initial,
+                                              bins=config.histogram_bins)
+            report = RunReport(
+                strategy=cell.config.strategy.value, seed=cell.seed, epochs=config.epochs,
+                batch_size=config.batch_size, n_train=n_train, checkpoints=run.checkpoints,
+                best_checkpoint_index=run.best_index, test_metrics=test_metrics,
+                test_mean_loss=test_loss, score_histograms=histograms)
+            run.outcome = TrainOutcome(report=report, best_model=run.best_model,
+                                       score_table=cell.score_table)
+        except Exception as err:  # noqa: BLE001
+            run.error = err
+    return [run.outcome if run.error is None else run.error for run in runs]
+
+
+def _nonfinite_cells(weights: np.ndarray, cell_of: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """A flag per cell: does its bias row, or a column of ``weights`` that
+    ``cell_of`` gives to it, hold a non-finite value?"""
+    bad = ~np.isfinite(bias).all(axis=1)
+    bad[cell_of[~np.isfinite(weights).all(axis=0)]] = True
+    return bad
+
+
+def _fail(live: list[_Run], bad: np.ndarray, message: str) -> None:
+    for j in np.flatnonzero(bad):
+        if live[j].error is None:
+            live[j].error = FloatingPointError(message)
+
+
+def _drop_failed(live: list[_Run], model: LinearModel, state: OptimizerState,
+                 width: int) -> list[_Run]:
+    """The runs that have not failed; the model and optimizer state keep
+    only their blocks."""
+    keep = np.array([run.error is None for run in live], dtype=bool)
+    if keep.all():
+        return live
+    C, K = model.class_count, len(live)
+
+    def blocks(a):
+        return a.reshape(C, K, width)[:, keep].reshape(C, int(keep.sum()) * width)
+
+    model.weights, model.bias = blocks(model.weights), model.bias[keep]
+    if state.m_w is not None:
+        state.m_w, state.v_w = blocks(state.m_w), blocks(state.v_w)
+        state.m_b, state.v_b = state.m_b[keep], state.v_b[keep]
+    return [run for run, k in zip(live, keep) if k]
+
+
+def _block(model: LinearModel, j: int, width: int) -> LinearModel:
+    """A copy of block j of a grid model, as a model of its own."""
+    return LinearModel(model.weights[:, j * width:(j + 1) * width], model.bias[j]).copy()
 
 
 def rescore_analysis(snapshots, dataset: Dataset, feats: FeatureMatrix,

@@ -486,15 +486,17 @@ def test_compare_empty_strategy_list_is_usage_error(splits, tmp_path):
 
 
 def test_compare_parallel_jobs_matches_serial(tmp_path, splits):
+    # two lockstep shares of three cells each write the bytes of one share of six
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    base = ["compare", *split_flags(splits), "--strategies", "Random", "Length",
-            "--seed", "66", "--epochs", "1", "--dim", DIM]
+    base = ["compare", *split_flags(splits), "--strategies", "Random", "Length", "PMD",
+            "--seed", "66", "--seed", "88", "--epochs", "2", "--dim", DIM, "--rescore"]
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert (serial / "aggregate.csv").read_text() == (parallel / "aggregate.csv").read_text()
-    assert (serial / "report_Random_seed66.json").read_text() == \
-        (parallel / "report_Random_seed66.json").read_text()
+    files = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+    assert len(files) == 2 + 3 * 2 * 3  # aggregates; report, checkpoints, histograms per cell
+    for name in files:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 def test_compare_featurizes_each_split_once(tmp_path, splits, monkeypatch):
@@ -631,22 +633,52 @@ def test_seed_flag_overrides_default_seed_list(tmp_path, splits):
     assert len([n for n in names if n.startswith("report_")]) == 1
 
 
-def _failing_run_training(monkeypatch, fails):
-    """Make cli's run_training raise for every cell that ``fails(strategy, seed)`` picks."""
-    import curlearn.cli as cli
-    real = cli.run_training
+@pytest.mark.parametrize("command, flags, config, setting", [
+    ("score", ["--probe-epochs", "-1"], None, "probe_epochs"),
+    ("score", [], {"probe.epochs": -1}, "probe_epochs"),
+    ("train", ["--lr", "-1"], None, "learning_rate"),
+    ("train", ["--lr", "nan"], None, "learning_rate"),
+    ("train", [], {"train.seeds": []}, "seeds"),
+    ("train", ["--seed", "66", "--seed", "66"], None, "seeds"),
+    ("compare", [], {"compare.jobs": -3}, "compare.jobs"),
+])
+def test_bad_run_settings_are_refused_up_front(tmp_path, splits, capsys, command, flags,
+                                              config, setting):
+    args = [command]
+    if command == "score":
+        args += ["--dataset", splits["train"]]
+    else:
+        args += split_flags(splits)
+        args += ["--strategies", "Random"] if command == "compare" else ["--strategy", "Random"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(args + flags + ["--epochs", "1"] * (command != "score")
+                + ["--dim", DIM, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("curlearn: error: ") and setting in err
+    assert not out.exists()
 
-    def run_training(train_ds, val_ds, test_ds, config, seed=None, **kwargs):
+
+def _failing_plan_draws(monkeypatch, fails):
+    """Make the plan draw raise for every cell that ``fails(strategy, seed)`` picks:
+    each cell of a grid draws its own plans through trainer.epoch_plans."""
+    import curlearn.trainer as trainer
+    real = trainer.epoch_plans
+
+    def epoch_plans(config, score_table, dataset, seed):
         if fails(config.strategy.value, seed):
             raise RuntimeError("injected failure")
-        return real(train_ds, val_ds, test_ds, config, seed=seed, **kwargs)
+        return real(config, score_table, dataset, seed)
 
-    monkeypatch.setattr(cli, "run_training", run_training)
+    monkeypatch.setattr(trainer, "epoch_plans", epoch_plans)
 
 
 def test_compare_marks_failed_cells_and_runs_the_rest(tmp_path, splits, monkeypatch,
                                                       capsys):
-    _failing_run_training(monkeypatch, lambda strategy, seed: strategy == "E2D")
+    _failing_plan_draws(monkeypatch, lambda strategy, seed: strategy == "E2D")
     out = tmp_path / "cmp"
     rc = main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",
                "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
@@ -669,13 +701,33 @@ def test_compare_marks_failed_cells_and_runs_the_rest(tmp_path, splits, monkeypa
                                  if line.startswith("Random"))
 
 
+def test_compare_a_failed_output_write_fails_only_its_cell(tmp_path, splits, monkeypatch,
+                                                          capsys):
+    import curlearn.cli as cli
+    real = cli._write_run_outputs
+
+    def write(out_dir, prefix, report):
+        if (report.strategy, report.seed) == ("E2D", 88):
+            raise OSError("disk full")
+        real(out_dir, prefix, report)
+
+    monkeypatch.setattr(cli, "_write_run_outputs", write)
+    out = tmp_path / "cmp"
+    assert main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",
+                 "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
+                 "--out", str(out)]) == 1
+    assert "curlearn: run failed: E2D seed 88: disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in out.glob("report_*")) == [
+        "report_E2D_seed66.json", "report_Random_seed66.json", "report_Random_seed88.json"]
+
+
 @pytest.mark.parametrize("command, extra, stem", [
     ("train", [], "Random"),
     ("fewshot", ["--k", "40"], "fewshot_Random"),
 ])
 def test_train_and_fewshot_run_every_seed_when_one_fails(tmp_path, splits, monkeypatch,
                                                           capsys, command, extra, stem):
-    _failing_run_training(monkeypatch, lambda strategy, seed: seed == 66)
+    _failing_plan_draws(monkeypatch, lambda strategy, seed: seed == 66)
     out = tmp_path / "run"
     rc = main([command, *split_flags(splits), "--strategy", "Random", *extra,
                "--seed", "66", "--seed", "88", "--epochs", "1", "--dim", DIM,
@@ -730,11 +782,11 @@ def test_train_rejects_fractional_dataset_id(tmp_path, splits, capsys):
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched run_training reaches workers only by fork")
+                    reason="the patched epoch_plans reaches workers only by fork")
 def test_compare_jobs_records_a_dead_worker_and_writes_the_manifest(tmp_path, splits,
                                                                     monkeypatch, capsys):
     # the E2D cell kills its worker process
-    _failing_run_training(monkeypatch, lambda strategy, seed: strategy == "E2D"
+    _failing_plan_draws(monkeypatch, lambda strategy, seed: strategy == "E2D"
                           and os._exit(1))
     out = tmp_path / "cmp"
     rc = main(["compare", *split_flags(splits), "--strategies", "Random", "E2D",

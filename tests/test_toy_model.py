@@ -776,3 +776,80 @@ def test_epoch_loss_strictly_decreases_on_separable_data():
         epoch_losses.append(float(np.mean(losses)))
     assert all(a > b for a, b in zip(epoch_losses, epoch_losses[1:]))
 
+
+
+# ---------------------------------------------------------------- grid model
+
+
+def stack_cells(models):
+    """One grid model from same-shaped models: block k holds model k."""
+    grid = LinearModel(weights=np.concatenate([m.weights for m in models], axis=1),
+                       bias=np.stack([m.bias for m in models]))
+    return grid, models[0].dim
+
+
+def stack_batches(batches, width):
+    """One grid batch: batch k's rows in turn, its ids moved to block k."""
+    rows = [(idx + k * width, vals) for k, b in enumerate(batches)
+            for idx, vals in zip(np.split(b.flat_indices, b.indptr[1:-1]),
+                                 np.split(b.flat_values, b.indptr[1:-1]))]
+    return csr(rows, width * len(batches))
+
+
+@pytest.mark.parametrize("kind", ["adamw", "sgd"])
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_model_matches_its_cells_alone_bit_for_bit(kind, seed):
+    rng = np.random.default_rng(seed)
+    cells, width, C = int(rng.integers(1, 5)), 40, int(rng.integers(2, 5))
+    rows_per_cell = int(rng.integers(1, 12))
+    models, batches, labels = [], [], []
+    for _ in range(cells):
+        models.append(LinearModel(weights=rng.normal(size=(C, width)) * 0.5,
+                                  bias=rng.normal(size=C) * 0.5))
+        rows = []
+        for _ in range(rows_per_cell):
+            k = int(rng.integers(0, 8))  # an empty row now and then
+            idx = np.sort(rng.choice(width, size=k, replace=False)).astype(np.int64)
+            rows.append((idx, rng.integers(1, 4, size=k).astype(float)))
+        batches.append(csr(rows, width))
+        labels.append(rng.integers(C, size=rows_per_cell))
+    grid, _ = stack_cells(models)
+    batch = stack_batches(batches, width)
+    shared = csr([(np.sort(rng.choice(width, size=5, replace=False)).astype(np.int64),
+                   np.ones(5)) for _ in range(7)], width)
+    # the block-wide matrix under every cell, and the stacked batch
+    assert np.array_equal(shared.logits(grid, every_cell=True),
+                          np.concatenate([shared.logits(m) for m in models]))
+    assert np.array_equal(batch.logits(grid),
+                          np.concatenate([b.logits(m) for m, b in zip(models, batches)]))
+
+    loss, grads = loss_and_grad(grid, batch, np.concatenate(labels))
+    assert loss.shape == (cells,) and grads.bias.shape == (cells, C)
+    state = OptimizerState.for_model(grid, kind=kind, total_steps=5)
+    optimizer_step(grid, grads, state)
+    for k, (model, b, y) in enumerate(zip(models, batches, labels)):
+        want_loss, want = loss_and_grad(model, b, y)
+        mine = grads.cols // width == k
+        assert loss[k] == want_loss
+        assert np.array_equal(grads.cols[mine] - k * width, want.cols)
+        assert np.array_equal(grads.weight_vals[:, mine], want.weight_vals)
+        assert np.array_equal(grads.bias[k], want.bias)
+        optimizer_step(model, want, OptimizerState.for_model(model, kind=kind, total_steps=5))
+        assert np.array_equal(grid.weights[:, k * width:(k + 1) * width], model.weights)
+        assert np.array_equal(grid.bias[k], model.bias)
+
+
+def test_grid_logits_refuse_a_mismatched_matrix():
+    grid = LinearModel(weights=np.zeros((2, 3 * 8)), bias=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="feature dim 16"):
+        csr([], 16).logits(grid)
+    with pytest.raises(ValueError, match="feature dim 48"):
+        csr([], 16).logits(grid, every_cell=True)
+    with pytest.raises(ValueError, match="4 rows do not split evenly over 3 cells"):
+        csr([(np.array([1]), np.array([1.0]))] * 4, 24).logits(grid)
+
+
+def test_probe_refuses_negative_epochs():
+    ds = make_separable_corpus(20, seed=2)
+    with pytest.raises(ValueError, match="probe_epochs must be >= 0, got -1"):
+        build_probe_scorer(ds, FeatureMatrix.build(ds, DIM), probe_epochs=-1)

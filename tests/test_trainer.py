@@ -1,10 +1,12 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import curlearn.trainer as trainer_mod
-from curlearn.dataset_io import Dataset, Example
+from curlearn.dataset_io import Dataset, Example, rows_of
 from curlearn.samplers import Strategy
 from curlearn.scoring import rank_examples
 from curlearn.synthetic import make_separable_corpus
@@ -309,6 +311,144 @@ def test_run_aborts_on_external_scores_for_wrong_ids(tmp_path):
     cfg = TrainConfig(epochs=1, strategy="E2D", dim=DIM, scores_path=str(scores))
     with pytest.raises(Exception, match="missing id"):
         run_training(train_ds, val_ds, test_ds, cfg, seed=66).report
+
+
+# ------------------------------------------------------------------ grid
+
+
+ALL_STRATEGIES = [s.value for s in Strategy]
+
+
+def grid_setup(**settings):
+    """Small splits, their features and the one probe's tables, for a grid."""
+    splits = small_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, dim=DIM, seeds=(66, 88), **settings)
+    features = trainer_mod.featurize_splits(splits, cfg)
+    tables = trainer_mod.resolve_score_table(splits[0], cfg, features[0],
+                                             val=(splits[1], features[1]))
+    return splits, cfg, features, tables
+
+
+def grid_cells(cfg, train, tables, strategies=ALL_STRATEGIES):
+    return [trainer_mod.Cell(replace(cfg, strategy=s), seed, train, *tables)
+            for s in strategies for seed in cfg.seeds]
+
+
+def assert_same_outcome(grid_outcome, vocab, alone):
+    assert grid_outcome.report.to_dict() == alone.report.to_dict()
+    best = grid_outcome.best_model.scatter(vocab, DIM)
+    assert np.array_equal(best.weights, alone.best_model.weights)
+    assert np.array_equal(best.bias, alone.best_model.bias)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"optimizer": "sgd"}, {"rescore": True},
+    {"rescore": True, "rescore_split": "validation"},
+    {"optimizer": "sgd", "rescore": True, "rescore_split": "validation"},
+], ids=["adamw", "sgd", "rescore-train", "rescore-validation", "sgd-rescore-validation"])
+def test_grid_matches_separate_runs_bit_for_bit(settings):
+    splits, cfg, features, tables = grid_setup(**settings)
+    cells = grid_cells(cfg, splits[0], tables)
+    outcomes = trainer_mod.train_grid(cells, splits, features)
+    assert len(outcomes) == 16
+    vocab = features[0].distinct_ids()
+    for cell, outcome in zip(cells, outcomes):
+        alone = run_training(*splits, cell.config, seed=cell.seed, score_table=tables[0],
+                             features=features, val_table=tables[1])
+        assert_same_outcome(outcome, vocab, alone)
+
+
+@pytest.mark.parametrize("settings", [{}, {"optimizer": "sgd", "rescore": True}])
+def test_fewshot_grid_matches_separate_runs_bit_for_bit(settings):
+    splits, cfg, features, (table, val_table) = grid_setup(**settings)
+    train_ds = splits[0]
+    cells = []
+    for seed in (3, 4, 5):
+        subset = few_shot_select(Strategy.RANDOM, table, train_ds, k=40,
+                                 rng=np.random.default_rng(seed))
+        cells.append(trainer_mod.Cell(replace(cfg, strategy="PMD"), seed, subset,
+                                      table.restrict(subset.ids), val_table))
+    columns = [features[0].take(rows_of(train_ds.ids, c.train.ids)).distinct_ids().tolist()
+               for c in cells]
+    assert columns[0] != columns[1] != columns[2]  # the subsets use different columns
+    outcomes = trainer_mod.train_grid(cells, splits, features)
+    vocab = features[0].distinct_ids()
+    for cell, outcome in zip(cells, outcomes):
+        rows = rows_of(train_ds.ids, cell.train.ids)
+        alone = run_training(cell.train, *splits[1:], cell.config, seed=cell.seed,
+                             score_table=cell.score_table, val_table=val_table,
+                             features=(features[0].take(rows), *features[1:]))
+        assert_same_outcome(outcome, vocab, alone)
+
+
+def _poison_loss(losses, grads, model, target):
+    losses[target] = np.nan
+
+
+def _poison_gradient(losses, grads, model, target):
+    grads.bias[target, 0] = np.inf
+
+
+def _poison_parameters(losses, grads, model, target):
+    model.bias[target] = np.inf  # SGD keeps it infinite through the update
+
+
+@pytest.mark.parametrize("poison, message", [
+    (_poison_loss, r"non-finite loss at epoch 0 batch 4 \(ids \[\d+(, \d+){7}\]\.\.\.\)"),
+    (_poison_gradient, "non-finite gradient; aborting the run"),
+    (_poison_parameters, "non-finite parameters after update; aborting the run"),
+])
+@pytest.mark.parametrize("target", [0, 3, 5])
+def test_a_failed_cell_leaves_the_others_bits_alone(monkeypatch, poison, message, target):
+    splits, cfg, features, tables = grid_setup(optimizer="sgd", rescore=True)
+    cells = grid_cells(cfg, splits[0], tables, ["Random", "E2D", "PMD"])
+    want = trainer_mod.train_grid(cells[:target] + cells[target + 1:], splits, features)
+    real = trainer_mod.loss_and_grad
+    calls = []
+
+    def poisoned(model, batch, labels):
+        losses, grads = real(model, batch, labels)
+        calls.append(1)
+        if len(calls) == 5:  # epoch 0, batch 4: no cell has failed yet
+            poison(losses, grads, model, target)
+        return losses, grads
+
+    monkeypatch.setattr(trainer_mod, "loss_and_grad", poisoned)
+    # nothing non-finite reaches another cell
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = trainer_mod.train_grid(cells, splits, features)
+    assert isinstance(got[target], (RuntimeError, FloatingPointError))
+    assert re.fullmatch(message, str(got[target]))
+    rest = got[:target] + got[target + 1:]
+    assert [o.report.to_dict() for o in rest] == [o.report.to_dict() for o in want]
+
+
+def test_a_failed_plan_draw_fails_only_its_cell(monkeypatch):
+    splits, cfg, features, tables = grid_setup()
+    cells = grid_cells(cfg, splits[0], tables, ["Random", "SME"])
+    want = trainer_mod.train_grid(cells[1:], splits, features)
+    real = trainer_mod.epoch_plans
+
+    def second_epoch_fails(config, score_table, dataset, seed):
+        plans = real(config, score_table, dataset, seed)
+        yield next(plans)
+        if (config.strategy.value, seed) == ("Random", 66):
+            raise KeyError("no plan")
+        yield from plans
+
+    monkeypatch.setattr(trainer_mod, "epoch_plans", second_epoch_fails)
+    got = trainer_mod.train_grid(cells, splits, features)
+    assert isinstance(got[0], KeyError) and "no plan" in str(got[0])
+    assert [o.report.to_dict() for o in got[1:]] == [o.report.to_dict() for o in want]
+
+
+def test_grid_cells_must_share_their_settings():
+    splits, cfg, features, tables = grid_setup()
+    cells = grid_cells(cfg, splits[0], tables, ["Random"])
+    for odd in (trainer_mod.Cell(replace(cfg, epochs=3), 66, splits[0], *tables),
+                trainer_mod.Cell(cfg, 66, splits[0].subset(splits[0].ids[:50]), *tables)):
+        with pytest.raises(ValueError, match="share every setting but the strategy"):
+            trainer_mod.train_grid(cells + [odd], splits, features)
 
 
 # ------------------------------------------------------------------ few-shot
