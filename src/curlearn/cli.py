@@ -178,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = ["curlearn", *argv]  # the command each manifest records
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -280,13 +282,13 @@ def _check_out_dir(path, force: bool) -> Path:
     return out
 
 
-def write_manifest(path, settings, input_paths) -> None:
+def write_manifest(path, settings, input_paths, command) -> None:
     manifest = {
         "schema_version": 1,
         "tool": "curlearn",
         "tool_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "command": list(sys.argv),
+        "command": command,
         "resolved_config": {k: settings[k] for k in sorted(settings)},
         "input_digests": {str(p): _sha256(p) for p in input_paths if p},
     }
@@ -384,7 +386,8 @@ def _prepare_grid(args, strategies, few_shot: bool = False):
 
 def _finish_grid(args, settings, failed: bool) -> int:
     write_manifest(Path(args.out) / "manifest.json", settings,
-                   [args.train, args.val, args.test, settings["scores.path"], args.config])
+                   [args.train, args.val, args.test, settings["scores.path"], args.config],
+                   args.argv)
     return 1 if failed else 0
 
 
@@ -406,7 +409,7 @@ def cmd_score(args) -> int:
                                          table.distributions[order].tolist(),
                                          table.scores[order].tolist()))
     write_manifest(str(args.out) + ".manifest.json", settings,
-                   [args.dataset, settings["scores.path"], args.config])
+                   [args.dataset, settings["scores.path"], args.config], args.argv)
     return 0
 
 
@@ -418,7 +421,7 @@ def cmd_plan(args) -> int:
     table = resolve_score_table(dataset, config)[0] if config.strategy.needs_scores else None
     write_plan_jsonl(list(epoch_plans(config, table, dataset, config.seeds[0])), args.out)
     write_manifest(str(args.out) + ".manifest.json", settings,
-                   [args.dataset, settings["scores.path"], args.config])
+                   [args.dataset, settings["scores.path"], args.config], args.argv)
     return 0
 
 
@@ -468,7 +471,7 @@ def cmd_analyze(args) -> int:
         reports.append(score_histogram(table, preds, gold, bins=bins, epoch_tag=tag))
     write_histogram_csv(reports, args.out)
     write_manifest(str(args.out) + ".manifest.json", {"analyze.bins": bins},
-                   list(args.scores_files) + [args.predictions, args.config])
+                   list(args.scores_files) + [args.predictions, args.config], args.argv)
     return 0
 
 

@@ -10,16 +10,26 @@ to the earliest one).
 
 ``train_grid`` is the one training loop. It trains a grid's runs (cells)
 in lockstep as one block-diagonal model, each cell's numbers bit for bit
-those of its run alone; ``run_training`` is its one-cell case.
+those of its run alone; ``run_training`` is its one-cell case. Checkpoint
+and test metrics are computed per grid, not per cell: one ``logits`` call
+scores a split for every cell, and one ``bincount`` gives every cell's
+confusion matrix, which ``_metrics`` turns into its Metrics (``evaluate``
+and ``compute_metrics`` are one-cell cases of the same path).
+
+Reports are rendered straight from the ``RunReport`` into the bytes of
+``json.dump(report.to_dict(), indent=2, sort_keys=True)``, and checkpoint
+series into the bytes ``csv.writer`` gives, without json's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,6 +92,17 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.probe_epochs < 0:
             raise ValueError(f"probe_epochs must be >= 0, got {self.probe_epochs}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.optimizer not in ("sgd", "adamw"):
+            raise ValueError(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def resolved_lr(self) -> float:
         if self.learning_rate is not None:
@@ -128,24 +149,46 @@ def compute_metrics(predictions, labels, class_count: int) -> Metrics:
         raise ValueError("predictions and labels misaligned")
     if len(labels) == 0:
         raise ValueError("cannot compute metrics on an empty split")
-    confusion = np.zeros((class_count, class_count), dtype=np.int64)
-    np.add.at(confusion, (labels, predictions), 1)
-    per_class = []
-    for c in range(class_count):
-        tp = int(confusion[c, c])
-        predicted = int(confusion[:, c].sum())
-        support = int(confusion[c, :].sum())
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / support if support else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(ClassMetrics(precision, recall, f1, support))
-    return Metrics(
-        accuracy=float(np.trace(confusion)) / len(labels),
-        macro_precision=sum(c.precision for c in per_class) / class_count,
-        macro_recall=sum(c.recall for c in per_class) / class_count,
-        macro_f1=sum(c.f1 for c in per_class) / class_count,
-        per_class=per_class,
-    )
+    return _metrics(_confusions(predictions, labels, class_count))[0]
+
+
+def _confusions(predictions: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
+    """(K, C, C) counts of (label, prediction) pairs, in one ``bincount``:
+    ``predictions`` holds K runs of len(``labels``), run k being cell k's
+    predictions of the shared labels."""
+    for name, values in (("label", labels), ("prediction", predictions)):
+        bad = (values < 0) | (values >= class_count)
+        if bad.any():  # it would count in another class, or another cell's block
+            raise ValueError(f"{name} {int(values[bad][0])} outside the "
+                             f"{class_count} classes [0, {class_count})")
+    cells = len(predictions) // len(labels)
+    index = ((np.arange(cells)[:, None] * class_count + labels) * class_count).ravel()
+    index += predictions
+    return np.bincount(index, minlength=cells * class_count ** 2).reshape(
+        cells, class_count, class_count)
+
+
+def _metrics(confusions: np.ndarray) -> list[Metrics]:
+    """Each cell's Metrics from its (C, C) confusion: the one metrics path."""
+    class_count = confusions.shape[1]
+    out = []
+    for tps, predicted, supports in zip(np.diagonal(confusions, axis1=1, axis2=2).tolist(),
+                                        confusions.sum(axis=1).tolist(),
+                                        confusions.sum(axis=2).tolist()):
+        per_class = []
+        for tp, predicted_c, support in zip(tps, predicted, supports):
+            precision = tp / predicted_c if predicted_c else 0.0
+            recall = tp / support if support else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            per_class.append(ClassMetrics(precision, recall, f1, support))
+        out.append(Metrics(
+            accuracy=float(sum(tps)) / sum(supports),
+            macro_precision=sum(c.precision for c in per_class) / class_count,
+            macro_recall=sum(c.recall for c in per_class) / class_count,
+            macro_f1=sum(c.f1 for c in per_class) / class_count,
+            per_class=per_class,
+        ))
+    return out
 
 
 def evaluate(model: LinearModel, split: Dataset, feats: FeatureMatrix | None = None,
@@ -154,7 +197,7 @@ def evaluate(model: LinearModel, split: Dataset, feats: FeatureMatrix | None = N
     _check_split(model.class_count, split)
     if feats is None:
         feats = FeatureMatrix.build(split, model.dim, max_tokens)
-    return _split_metrics(probabilities(feats.logits(model)), split)
+    return _score_cells(model, split.labels, feats)[0]
 
 
 def _check_split(class_count: int, split: Dataset) -> None:
@@ -164,12 +207,17 @@ def _check_split(class_count: int, split: Dataset) -> None:
         raise ValueError(f"model has {class_count} classes, split has {split.class_count}")
 
 
-def _split_metrics(probs: np.ndarray, split: Dataset) -> tuple[Metrics, float]:
-    """``evaluate``'s metrics and mean loss from the split's probabilities."""
-    labels = split.labels
-    preds = np.argmax(probs, axis=1)
-    gold = np.clip(probs[np.arange(len(labels)), labels], 1e-300, None)
-    return compute_metrics(preds, labels, split.class_count), float(-np.log(gold).mean())
+def _score_cells(model: LinearModel, labels: np.ndarray,
+                 feats: FeatureMatrix) -> list[tuple[Metrics, float]]:
+    """Each cell's metrics and mean cross-entropy on a split, from one
+    ``logits`` call: the split's ``labels`` and ``feats`` at one block's width."""
+    probs = probabilities(feats.logits(model, every_cell=True))
+    cells, n = model.cells, len(labels)
+    gold = np.clip(probs[np.arange(cells * n), np.tile(labels, cells)], 1e-300, None)
+    # one 1-D mean per cell, summed as a run alone sums it
+    losses = [float(-row.mean()) for row in np.log(gold).reshape(cells, n)]
+    metrics = _metrics(_confusions(np.argmax(probs, axis=1), labels, model.class_count))
+    return list(zip(metrics, losses))
 
 
 def checkpoint_steps(N: int, fraction: float = 0.1) -> list[int]:
@@ -407,9 +455,11 @@ def train_grid(cells: list[Cell], splits: tuple[Dataset, Dataset, Dataset],
     Returns, per cell, its outcome, whose ``best_model`` is in the columns
     ``vocab`` (``LinearModel.scatter`` widens it), or the exception that
     failed it. A non-finite loss, gradient or parameter, or an error in the
-    cell's own plan draw, test evaluation or rescoring, fails only that
-    cell: it leaves all later batches, and the other cells train on
-    unchanged.
+    cell's own plan draw or rescoring, fails only that cell: it leaves all
+    later batches, and the other cells train on unchanged. The test split
+    is scored once for every cell still in the grid, with their best models
+    stacked into one grid model; an error there fails each of them, as it
+    reads only the inputs they share.
     """
     config, n_train = cells[0].config, len(cells[0].train)
     if any(replace(c.config, strategy=config.strategy) != config or len(c.train) != n_train
@@ -424,7 +474,7 @@ def train_grid(cells: list[Cell], splits: tuple[Dataset, Dataset, Dataset],
     vocab = features[0].distinct_ids()
     width = len(vocab)
     feats_train, feats_val, feats_test = (f.in_columns(vocab) for f in features)
-    ids, labels = train_ds.ids, train_ds.labels
+    ids, labels, val_labels = train_ds.ids, train_ds.labels, val_ds.labels
     model = LinearModel.zeros(class_count, len(cells) * width)
     model.bias = np.zeros((len(cells), class_count))  # one bias row per cell
     steps_per_epoch = math.ceil(n_train / config.batch_size)
@@ -483,10 +533,8 @@ def train_grid(cells: list[Cell], splits: tuple[Dataset, Dataset, Dataset],
                 next_mark += 1
             live = _drop_failed(live, model, state, width)
             if crossed and live:
-                probs = probabilities(feats_val.logits(model, every_cell=True))
-                for j, run in enumerate(live):
-                    metrics, mean_loss = _split_metrics(
-                        probs[j * len(val_ds):(j + 1) * len(val_ds)], val_ds)
+                scored = _score_cells(model, val_labels, feats_val)
+                for j, (run, (metrics, mean_loss)) in enumerate(zip(live, scored)):
                     for mark in crossed:
                         run.checkpoints.append(CheckpointEntry(
                             epoch=epoch, examples_seen_epoch=mark,
@@ -501,13 +549,21 @@ def train_grid(cells: list[Cell], splits: tuple[Dataset, Dataset, Dataset],
             for j, run in enumerate(live):
                 run.snapshots.append(_block(model, j, width))
 
+    # the test split, touched once: every finished cell's best model in one pass
+    done = [run for run in runs if run.error is None]
+    tested = []
+    if done:
+        try:
+            best = LinearModel(np.concatenate([r.best_model.weights for r in done], axis=1),
+                               np.stack([r.best_model.bias for r in done]))
+            tested = _score_cells(best, test_ds.labels, feats_test)
+        except Exception as err:  # noqa: BLE001 - it reads only what the cells share
+            for run in done:
+                run.error = err
     rescore_val = config.rescore and config.rescore_split == "validation"
-    for run in runs:
-        if run.error is not None:
-            continue
+    for run, (test_metrics, test_loss) in zip(done, tested):
         cell = run.cell
         try:
-            test_metrics, test_loss = evaluate(run.best_model, test_ds, feats_test)
             histograms = None
             if config.rescore:
                 if rescore_val:
@@ -640,22 +696,125 @@ def aggregate_runs(reports_by_strategy: dict[str, list[RunReport]]) -> list[dict
 
 
 def write_checkpoint_csv(report: RunReport, path) -> None:
-    """Checkpoint series CSV: fraction_seen, acc, macro_f1, macro_p, macro_r, loss."""
+    """Checkpoint series CSV: fraction_seen, acc, macro_f1, macro_p, macro_r, loss.
+
+    The bytes ``csv.writer`` gives: no float's ``repr`` needs quoting."""
+    lines = ["fraction_seen,acc,macro_f1,macro_p,macro_r,loss\r\n"]
+    for e in report.checkpoints:
+        m = e.metrics
+        lines.append(f"{e.fraction_seen!r},{m.accuracy!r},{m.macro_f1!r},"
+                     f"{m.macro_precision!r},{m.macro_recall!r},{e.mean_loss!r}\r\n")
     with open_atomic(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction_seen", "acc", "macro_f1", "macro_p", "macro_r", "loss"])
-        for e in report.checkpoints:
-            writer.writerow([repr(e.fraction_seen), repr(e.metrics.accuracy),
-                             repr(e.metrics.macro_f1), repr(e.metrics.macro_precision),
-                             repr(e.metrics.macro_recall), repr(e.mean_loss)])
+        fh.write("".join(lines))
 
 
 def write_report_json(report: RunReport, path, manifest_ref: str = "manifest.json") -> None:
-    payload = report.to_dict()
-    payload["manifest"] = manifest_ref
+    """``report.to_dict()`` plus the manifest reference, as the bytes of
+    ``json.dump(..., indent=2, sort_keys=True)`` and a newline."""
+    checkpoints = []
+    for e in report.checkpoints:
+        m = e.metrics
+        values = [m.accuracy, e.epoch, e.examples_seen_epoch, e.fraction_of_epoch,
+                  e.fraction_seen, m.macro_f1, m.macro_precision, m.macro_recall, e.mean_loss]
+        checkpoints.append(_metrics_text(_CHECKPOINT_KEYS, values, m.per_class, "    "))
+    m = report.test_metrics
+    fields = {
+        "schema_version": "1",
+        "strategy": _json(report.strategy),
+        "seed": _json(report.seed),
+        "epochs": _json(report.epochs),
+        "batch_size": _json(report.batch_size),
+        "n_train": _json(report.n_train),
+        "best_checkpoint_index": _json(report.best_checkpoint_index),
+        "test_mean_loss": _json(report.test_mean_loss),
+        "test_metrics": _metrics_text(_METRICS_KEYS, [m.accuracy, m.macro_f1, m.macro_precision,
+                                                       m.macro_recall], m.per_class, "  "),
+        "checkpoints": _json_array(checkpoints, "  "),
+        "manifest": _json(manifest_ref),
+    }
+    if report.score_histograms is not None:
+        fields["score_histograms"] = _json_array([_json_object({
+            "epoch_tag": _json(h.epoch_tag),
+            "bin_edges": _json_array(_json_texts([float(x) for x in h.bin_edges]), "      "),
+            "counts_correct": _json_array(_json_texts([int(x) for x in h.counts_correct]),
+                                          "      "),
+            "counts_incorrect": _json_array(_json_texts([int(x) for x in h.counts_incorrect]),
+                                            "      "),
+            "split_by_correctness": _json(h.split_by_correctness),
+            "mean_score": _json(h.mean_score)}, "    ") for h in report.score_histograms], "  ")
     with open_atomic(path, encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_object(fields, "") + "\n")
+
+
+# the sorted keys of a checkpoint's and of the test metrics' scalar fields;
+# "per_class" sorts after both
+_CHECKPOINT_KEYS = ("accuracy", "epoch", "examples_seen_epoch", "fraction_of_epoch",
+                    "fraction_seen", "macro_f1", "macro_precision", "macro_recall", "mean_loss")
+_METRICS_KEYS = ("accuracy", "macro_f1", "macro_precision", "macro_recall")
+
+
+def _metrics_text(keys: tuple[str, ...], values: list, per_class: list[ClassMetrics],
+                  pad: str) -> str:
+    """An object at indent ``pad``: ``values`` under the sorted ``keys``,
+    then the per-class metrics."""
+    values = values + [v for c in per_class for v in (c.f1, c.precision, c.recall, c.support)]
+    return _metrics_layout(keys, len(per_class), pad) % tuple(_json_texts(values))
+
+
+@functools.cache
+def _metrics_layout(keys: tuple[str, ...], classes: int, pad: str) -> str:
+    """``_metrics_text``'s layout, a %s for each value."""
+    inner = pad + "  "
+    class_layout = _json_object(dict.fromkeys(("f1", "precision", "recall", "support"), "%s"),
+                                inner + "  ")
+    return _json_object({**dict.fromkeys(keys, "%s"),
+                         "per_class": _json_array([class_layout] * classes, inner)}, pad)
+
+
+_PLAIN = frozenset((float, int))
+
+
+def _json_texts(values: list) -> list[str]:
+    """``_json`` of each value, in one pass when all are finite floats or
+    ints, whose ``repr`` is json's text."""
+    if _PLAIN.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return [_json(v) for v in values]
+
+
+def _json(value) -> str:
+    """json's text for a str, bool, int or float: int.__repr__ and
+    float.__repr__, whatever the subclass, and NaN/Infinity/-Infinity."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """An object of rendered values, keys sorted, its lines indented from ``pad``."""
+    if not fields:
+        return "{}"
+    inner = pad + "  "
+    return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(key)}: {fields[key]}"
+                                for key in sorted(fields)) + f"\n{pad}}}")
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """An array of rendered values, its lines indented from ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 AGGREGATE_COLUMNS = ("strategy", "accuracy", "macro_f1", "macro_precision", "macro_recall")

@@ -623,6 +623,19 @@ def test_config_null_only_for_keys_unset_by_default(tmp_path, splits, capsys):
                  "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_manifest_records_the_command_main_parsed(tmp_path, splits):
+    args = ["train", *split_flags(splits), "--strategy", "Random", "--seed", "66",
+            "--epochs", "1", "--dim", DIM, "--out", str(tmp_path / "run")]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["command"] == ["curlearn", *args]
+    args = ["score", "--dataset", splits["train"], "--dim", DIM,
+            "--out", str(tmp_path / "scores.jsonl")]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "scores.jsonl.manifest.json").read_text())
+    assert manifest["command"] == ["curlearn", *args]
+
+
 def test_seed_flag_overrides_default_seed_list(tmp_path, splits):
     out = tmp_path / "run"
     assert main(["train", *split_flags(splits), "--strategy", "Random",
@@ -641,6 +654,12 @@ def test_seed_flag_overrides_default_seed_list(tmp_path, splits):
     ("train", [], {"train.seeds": []}, "seeds"),
     ("train", ["--seed", "66", "--seed", "66"], None, "seeds"),
     ("compare", [], {"compare.jobs": -3}, "compare.jobs"),
+    ("train", [], {"train.max_tokens": -1}, "max_tokens"),
+    ("train", [], {"optimizer.kind": "adam"}, "optimizer"),
+    ("train", [], {"optimizer.beta1": -0.5}, "beta1"),
+    ("train", [], {"optimizer.beta2": 1.0}, "beta2"),
+    ("train", [], {"optimizer.epsilon": -1}, "epsilon"),
+    ("train", [], {"optimizer.weight_decay": -5}, "weight_decay"),
 ])
 def test_bad_run_settings_are_refused_up_front(tmp_path, splits, capsys, command, flags,
                                               config, setting):

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -9,7 +12,8 @@ import curlearn.trainer as trainer_mod
 from curlearn.dataset_io import Dataset, Example, rows_of
 from curlearn.samplers import Strategy
 from curlearn.scoring import rank_examples
-from curlearn.synthetic import make_separable_corpus
+from curlearn.scoring import HistogramReport
+from curlearn.synthetic import make_noisy_corpus, make_separable_corpus
 from curlearn.toy_model import FeatureMatrix, LinearModel
 from curlearn.trainer import (TrainConfig, aggregate_runs, checkpoint_steps,
                               compute_metrics, evaluate, few_shot_select,
@@ -79,6 +83,68 @@ def test_zero_support_class_contributes_zero_to_macro():
     metrics = compute_metrics(preds, labels, class_count=3)
     assert metrics.per_class[2].support == 0
     assert metrics.macro_recall == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("preds, labels, bad", [
+    ([1, 0], [-1, 0], "label -1"), ([2, 0], [1, 0], "prediction 2"),
+    ([0, 1], [0, 5], "label 5"), ([-3, 1], [0, 1], "prediction -3"),
+])
+def test_compute_metrics_refuses_classes_out_of_range(preds, labels, bad):
+    with pytest.raises(ValueError, match=bad):
+        compute_metrics(preds, labels, 2)
+
+
+def _random_matrix(rng, n, width):
+    """A random CSR matrix of n rows over ``width`` columns, some rows empty."""
+    lengths = rng.integers(0, 6, size=n)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    ids = np.concatenate([np.sort(rng.choice(width, size=k, replace=False)) for k in lengths])
+    return FeatureMatrix(indptr=indptr, flat_indices=ids.astype(np.int32),
+                         flat_values=rng.integers(1, 4, size=len(ids)).astype(np.float32),
+                         dim=width, max_tokens=None)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 24])
+@pytest.mark.parametrize("classes", [2, 3, 5])
+@pytest.mark.parametrize("n", [200, 201])
+def test_grid_metrics_match_the_per_cell_oracle(cells, classes, n):
+    """One metrics pass over every cell of a grid model equals, per cell, a
+    loop-built confusion and the mean loss over that cell's own slice."""
+    rng = np.random.default_rng(cells * 100 + classes * 10 + n)
+    width = 16
+    feats = _random_matrix(rng, n, width)
+    model = LinearModel(rng.normal(0, 2, size=(classes, cells * width)),
+                        rng.normal(0, 1, size=(cells, classes)))
+    if cells == 1:
+        model.bias = model.bias[0]
+    labels = rng.integers(0, classes, size=n)
+    got = trainer_mod._score_cells(model, labels, feats)
+    probs = trainer_mod.probabilities(feats.logits(model, every_cell=True))
+    assert len(got) == cells
+    for k, (metrics, loss) in enumerate(got):
+        p = probs[k * n:(k + 1) * n]
+        preds = np.argmax(p, axis=1)
+        confusion = np.zeros((classes, classes), dtype=np.int64)
+        for y, q in zip(labels, preds):
+            confusion[y, q] += 1
+        per_class = []
+        for c in range(classes):
+            tp, predicted, support = (int(confusion[c, c]), int(confusion[:, c].sum()),
+                                      int(confusion[c, :].sum()))
+            precision = tp / predicted if predicted else 0.0
+            recall = tp / support if support else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            per_class.append(trainer_mod.ClassMetrics(precision, recall, f1, support))
+        want = trainer_mod.Metrics(
+            accuracy=float(np.trace(confusion)) / n,
+            macro_precision=sum(c.precision for c in per_class) / classes,
+            macro_recall=sum(c.recall for c in per_class) / classes,
+            macro_f1=sum(c.f1 for c in per_class) / classes, per_class=per_class)
+        assert metrics == want
+        assert type(metrics.accuracy) is float and type(metrics.per_class[0].support) is int
+        gold = p[np.arange(n), labels]
+        assert loss == float(-np.log(np.clip(gold, 1e-300, None)).mean())
+        assert type(loss) is float
 
 
 def test_evaluate_rejects_empty_split_and_class_mismatch():
@@ -381,6 +447,28 @@ def test_fewshot_grid_matches_separate_runs_bit_for_bit(settings):
         assert_same_outcome(outcome, vocab, alone)
 
 
+@pytest.mark.parametrize("settings", [
+    {}, {"optimizer": "sgd", "rescore": True, "rescore_split": "validation"},
+], ids=["adamw", "sgd-rescore-validation"])
+def test_three_class_grid_matches_separate_runs_bit_for_bit(settings, tmp_path):
+    splits = tuple(make_noisy_corpus(n, class_count=3, seed=seed, split_tag=tag)
+                   for n, seed, tag in ((90, 4, "train"), (45, 5, "validation"),
+                                        (61, 6, "test")))
+    cfg = TrainConfig(epochs=2, batch_size=10, dim=DIM, seeds=(66, 88), **settings)
+    features = trainer_mod.featurize_splits(splits, cfg)
+    tables = trainer_mod.resolve_score_table(splits[0], cfg, features[0],
+                                             val=(splits[1], features[1]))
+    cells = grid_cells(cfg, splits[0], tables, ["Random", "E2D", "PME", "Length"])
+    outcomes = trainer_mod.train_grid(cells, splits, features)
+    vocab = features[0].distinct_ids()
+    for cell, outcome in zip(cells, outcomes):
+        alone = run_training(*splits, cell.config, seed=cell.seed, score_table=tables[0],
+                             features=features, val_table=tables[1])
+        assert_same_outcome(outcome, vocab, alone)
+        assert_written_like_json_and_csv(outcome.report, tmp_path)
+    assert {c.support for o in outcomes for c in o.report.test_metrics.per_class} != {0}
+
+
 def _poison_loss(losses, grads, model, target):
     losses[target] = np.nan
 
@@ -440,6 +528,33 @@ def test_a_failed_plan_draw_fails_only_its_cell(monkeypatch):
     got = trainer_mod.train_grid(cells, splits, features)
     assert isinstance(got[0], KeyError) and "no plan" in str(got[0])
     assert [o.report.to_dict() for o in got[1:]] == [o.report.to_dict() for o in want]
+
+
+def test_a_failed_test_pass_fails_every_cell_still_in_it(monkeypatch):
+    splits = small_splits(96, 48, 40)
+    cfg = TrainConfig(epochs=1, batch_size=10, dim=DIM, seeds=(66, 88))
+    features = trainer_mod.featurize_splits(splits, cfg)
+    cells = grid_cells(cfg, splits[0], (None, None), ["Random", "Length"])
+    real_plans, real_score = trainer_mod.epoch_plans, trainer_mod._score_cells
+    tested = []
+
+    def plans(config, score_table, dataset, seed):
+        if (config.strategy.value, seed) == ("Random", 88):
+            raise KeyError("no plan")
+        return real_plans(config, score_table, dataset, seed)
+
+    def score(model, labels, feats):
+        if len(labels) == 40:  # the test split
+            tested.append(model.cells)
+            raise RuntimeError("test pass failed")
+        return real_score(model, labels, feats)
+
+    monkeypatch.setattr(trainer_mod, "epoch_plans", plans)
+    monkeypatch.setattr(trainer_mod, "_score_cells", score)
+    got = trainer_mod.train_grid(cells, splits, features)
+    assert tested == [3]  # the cell that failed earlier is left out
+    assert isinstance(got[1], KeyError)
+    assert [str(got[k]) for k in (0, 2, 3)] == ["test pass failed"] * 3
 
 
 def test_grid_cells_must_share_their_settings():
@@ -616,6 +731,78 @@ def test_aggregate_rejects_inconsistent_seed_sets():
 
 
 # ------------------------------------------------------------------- writers
+
+
+def assert_written_like_json_and_csv(report, tmp_path, manifest_ref="manifest.json"):
+    """The report's files hold the bytes json.dump and csv.writer give."""
+    write_report_json(report, tmp_path / "report.json", manifest_ref)
+    want = io.StringIO()
+    json.dump(report.to_dict() | {"manifest": manifest_ref}, want, indent=2, sort_keys=True)
+    assert (tmp_path / "report.json").read_bytes() == (want.getvalue() + "\n").encode()
+    write_checkpoint_csv(report, tmp_path / "checkpoints.csv")
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["fraction_seen", "acc", "macro_f1", "macro_p", "macro_r", "loss"])
+    for e in report.checkpoints:
+        writer.writerow([repr(e.fraction_seen), repr(e.metrics.accuracy),
+                         repr(e.metrics.macro_f1), repr(e.metrics.macro_precision),
+                         repr(e.metrics.macro_recall), repr(e.mean_loss)])
+    assert (tmp_path / "checkpoints.csv").read_bytes() == want.getvalue().encode()
+
+
+# floats to render as json does: np.float64 as a float, non-finite as NaN/Infinity
+RENDER_FLOATS = [5e-324, 1e-300, 0.1, 1 / 3, 1e16, -0.0, 0.0, 1.0, 2.5e-7, 123456789.125,
+                 np.float64(0.1), np.float64(1 / 3), np.float64(5e-324), np.float64(1e16),
+                 math.nan, math.inf, -math.inf]
+
+
+def synthetic_report(rng, classes, histograms, checkpoints=3, floats=RENDER_FLOATS):
+    def pick():
+        return floats[int(rng.integers(len(floats)))]
+
+    def metrics():
+        per_class = [trainer_mod.ClassMetrics(pick(), pick(), pick(), int(rng.integers(1, 9)))
+                     for _ in range(classes)]
+        per_class[int(rng.integers(classes))] = trainer_mod.ClassMetrics(0.0, 0.0, 0.0, 0)
+        return trainer_mod.Metrics(pick(), pick(), pick(), pick(), per_class)
+
+    entries = [trainer_mod.CheckpointEntry(epoch=k // 2, examples_seen_epoch=10 * k + 3,
+                                           fraction_of_epoch=pick(), fraction_seen=pick(),
+                                           metrics=metrics(), mean_loss=pick())
+               for k in range(checkpoints)]
+    for e in entries[:1]:
+        e.mean_loss, e.metrics.per_class[-1].f1 = math.inf, math.nan
+    return trainer_mod.RunReport(
+        strategy='St"rat\\égie\n', seed=-(2 ** 70), epochs=3, batch_size=16, n_train=500,
+        checkpoints=entries, best_checkpoint_index=1, test_metrics=metrics(),
+        test_mean_loss=np.float64(1 / 3), score_histograms=histograms)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_report_renderers_match_json_and_csv_on_synthetic_reports(classes, tmp_path):
+    rng = np.random.default_rng(classes)
+    edges = np.linspace(0.0, 1.0, 6)
+    histograms = [HistogramReport(bin_edges=edges, counts_correct=rng.integers(0, 9, 5),
+                                  counts_incorrect=np.zeros(5, dtype=np.int64),
+                                  epoch_tag=tag, split_by_correctness=tag % 2 == 1,
+                                  mean_score=mean)
+                  for tag, mean in enumerate([math.nan, math.inf, -math.inf,
+                                              np.float64(math.nan), np.float64(0.1), 1e-300])]
+    plain = [x for x in RENDER_FLOATS if type(x) is float]
+    for hists, checkpoints, floats in ((histograms, 3, RENDER_FLOATS), (None, 3, plain),
+                                       ([], 0, RENDER_FLOATS), (histograms[:1], 1, plain)):
+        report = synthetic_report(rng, classes, hists, checkpoints, floats)
+        assert_written_like_json_and_csv(report, tmp_path, manifest_ref="mänifest \"1\".json")
+
+
+@pytest.mark.parametrize("rescore_split", ["train", "validation"])
+def test_report_renderers_match_json_and_csv_on_rescored_runs(rescore_split, tmp_path):
+    splits = small_splits(60, 30, 30)
+    cfg = TrainConfig(epochs=2, strategy="SME", dim=DIM, rescore=True,
+                      rescore_split=rescore_split)
+    report = run_training(*splits, cfg, seed=66).report
+    assert len(report.score_histograms) == 3
+    assert_written_like_json_and_csv(report, tmp_path)
 
 
 def test_checkpoint_csv_columns(tmp_path):
