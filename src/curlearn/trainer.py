@@ -16,16 +16,15 @@ scores a split for every cell, and one ``bincount`` gives every cell's
 confusion matrix, which ``_metrics`` turns into its Metrics (``evaluate``
 and ``compute_metrics`` are one-cell cases of the same path).
 
-Reports are rendered straight from the ``RunReport`` into the bytes of
-``json.dump(report.to_dict(), indent=2, sort_keys=True)``, and checkpoint
-series into the bytes ``csv.writer`` gives, without json's pure-Python
-indenting encoder.
+Reports are written by a small recursive writer over ``RunReport.to_dict()``
+with the bytes of ``json.dump(..., indent=2, sort_keys=True)``, and
+checkpoint series with the bytes ``csv.writer`` gives, without json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -711,110 +710,39 @@ def write_checkpoint_csv(report: RunReport, path) -> None:
 def write_report_json(report: RunReport, path, manifest_ref: str = "manifest.json") -> None:
     """``report.to_dict()`` plus the manifest reference, as the bytes of
     ``json.dump(..., indent=2, sort_keys=True)`` and a newline."""
-    checkpoints = []
-    for e in report.checkpoints:
-        m = e.metrics
-        values = [m.accuracy, e.epoch, e.examples_seen_epoch, e.fraction_of_epoch,
-                  e.fraction_seen, m.macro_f1, m.macro_precision, m.macro_recall, e.mean_loss]
-        checkpoints.append(_metrics_text(_CHECKPOINT_KEYS, values, m.per_class, "    "))
-    m = report.test_metrics
-    fields = {
-        "schema_version": "1",
-        "strategy": _json(report.strategy),
-        "seed": _json(report.seed),
-        "epochs": _json(report.epochs),
-        "batch_size": _json(report.batch_size),
-        "n_train": _json(report.n_train),
-        "best_checkpoint_index": _json(report.best_checkpoint_index),
-        "test_mean_loss": _json(report.test_mean_loss),
-        "test_metrics": _metrics_text(_METRICS_KEYS, [m.accuracy, m.macro_f1, m.macro_precision,
-                                                       m.macro_recall], m.per_class, "  "),
-        "checkpoints": _json_array(checkpoints, "  "),
-        "manifest": _json(manifest_ref),
-    }
-    if report.score_histograms is not None:
-        fields["score_histograms"] = _json_array([_json_object({
-            "epoch_tag": _json(h.epoch_tag),
-            "bin_edges": _json_array(_json_texts([float(x) for x in h.bin_edges]), "      "),
-            "counts_correct": _json_array(_json_texts([int(x) for x in h.counts_correct]),
-                                          "      "),
-            "counts_incorrect": _json_array(_json_texts([int(x) for x in h.counts_incorrect]),
-                                            "      "),
-            "split_by_correctness": _json(h.split_by_correctness),
-            "mean_score": _json(h.mean_score)}, "    ") for h in report.score_histograms], "  ")
     with open_atomic(path, encoding="utf-8") as fh:
-        fh.write(_json_object(fields, "") + "\n")
+        fh.write(_json_text(report.to_dict() | {"manifest": manifest_ref}, "") + "\n")
 
 
-# the sorted keys of a checkpoint's and of the test metrics' scalar fields;
-# "per_class" sorts after both
-_CHECKPOINT_KEYS = ("accuracy", "epoch", "examples_seen_epoch", "fraction_of_epoch",
-                    "fraction_seen", "macro_f1", "macro_precision", "macro_recall", "mean_loss")
-_METRICS_KEYS = ("accuracy", "macro_f1", "macro_precision", "macro_recall")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _metrics_text(keys: tuple[str, ...], values: list, per_class: list[ClassMetrics],
-                  pad: str) -> str:
-    """An object at indent ``pad``: ``values`` under the sorted ``keys``,
-    then the per-class metrics."""
-    values = values + [v for c in per_class for v in (c.f1, c.precision, c.recall, c.support)]
-    return _metrics_layout(keys, len(per_class), pad) % tuple(_json_texts(values))
-
-
-@functools.cache
-def _metrics_layout(keys: tuple[str, ...], classes: int, pad: str) -> str:
-    """``_metrics_text``'s layout, a %s for each value."""
-    inner = pad + "  "
-    class_layout = _json_object(dict.fromkeys(("f1", "precision", "recall", "support"), "%s"),
-                                inner + "  ")
-    return _json_object({**dict.fromkeys(keys, "%s"),
-                         "per_class": _json_array([class_layout] * classes, inner)}, pad)
-
-
-_PLAIN = frozenset((float, int))
-
-
-def _json_texts(values: list) -> list[str]:
-    """``_json`` of each value, in one pass when all are finite floats or
-    ints, whose ``repr`` is json's text."""
-    if _PLAIN.issuperset(map(type, values)) and all(map(math.isfinite, values)):
-        return list(map(repr, values))
-    return [_json(v) for v in values]
-
-
-def _json(value) -> str:
-    """json's text for a str, bool, int or float: int.__repr__ and
-    float.__repr__, whatever the subclass, and NaN/Infinity/-Infinity."""
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts, lists, str,
+    bool, int and float (int.__repr__ and float.__repr__, whatever the
+    subclass), its inner lines indented from ``pad``; json's indenting
+    encoder is pure Python and about twice as slow."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + ",\n".join([f"{inner}{encode_basestring_ascii(key)}: "
+                                     f"{_json_text(value[key], inner)}" for key in sorted(value)])
+                + f"\n{pad}}}")
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return (f"[\n{inner}" + f",\n{inner}".join([_json_text(v, inner) for v in value])
+                + f"\n{pad}]")
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_object(fields: dict[str, str], pad: str) -> str:
-    """An object of rendered values, keys sorted, its lines indented from ``pad``."""
-    if not fields:
-        return "{}"
-    inner = pad + "  "
-    return ("{\n" + ",\n".join(f"{inner}{encode_basestring_ascii(key)}: {fields[key]}"
-                                for key in sorted(fields)) + f"\n{pad}}}")
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """An array of rendered values, its lines indented from ``pad``."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    return int.__repr__(value)
 
 
 AGGREGATE_COLUMNS = ("strategy", "accuracy", "macro_f1", "macro_precision", "macro_recall")
